@@ -2,9 +2,11 @@
 //!
 //! Entries are keyed by *normalized* SQL text (whitespace collapsed outside quotes, trailing
 //! semicolons stripped) and tagged with the catalog commit version observed at planning time.
-//! Any DDL/DML commit bumps the catalog version, so stale plans are evicted lazily on their
-//! next lookup — the cache never serves a plan created against a different catalog state.
-//! Eviction is LRU with a fixed capacity.
+//! DDL, view changes and inserts that drop a table's statistics bump the catalog version, so
+//! plans built against another schema or against stale estimates are evicted lazily on their
+//! next lookup. A small insert keeps the version, and its cached plans with it: a plan holds no
+//! table contents (execution reads a fresh catalog snapshot), and the statistics it was
+//! optimized with are at most 10 % off in row count. Eviction is LRU with a fixed capacity.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;

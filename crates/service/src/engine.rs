@@ -222,7 +222,9 @@ impl Engine {
     /// cache (the cache only ever stores optimized plans).
     ///
     /// Cache entries are keyed by [`normalize_sql`]d text and tagged with the catalog version
-    /// observed at planning time; any DDL/DML commit bumps the version and invalidates them.
+    /// observed at planning time. DDL and inserts that drop a table's statistics bump the
+    /// version and invalidate them; smaller inserts keep both the version and the plans, which
+    /// stay correct because execution always reads a fresh catalog snapshot.
     pub fn plan_query(&self, sql: &str, optimize: bool) -> Result<Arc<PreparedPlan>, ServiceError> {
         if !optimize {
             return Ok(Arc::new(self.plan_query_uncached(sql, false)?));

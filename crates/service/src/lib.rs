@@ -7,7 +7,7 @@
 //! * [`Engine`] — the thread-safe shared core: one [`perm_storage::Catalog`] with atomic
 //!   multi-table snapshots, the provenance-aware SQL pipeline (parse → analyze → rewrite →
 //!   optimize → execute) and a shared LRU [`cache::PlanCache`] keyed by normalized SQL text and
-//!   invalidated on DDL/DML commits.
+//!   invalidated on DDL commits and on inserts that drop a table's statistics.
 //! * [`Session`] — per-connection state: row-budget / timeout settings and named **prepared
 //!   statements** with `$1`-style parameters (plan once, bind + execute many).
 //! * [`server`] / [`shell`] — a small length-prefixed text protocol over TCP (`permd`, one

@@ -511,8 +511,8 @@ pub struct StatsSnapshot {
     pub stream_buffered: usize,
     /// The metrics registry.
     pub metrics: MetricsSnapshot,
-    /// Per-table row counts and statistics freshness (catalog version of the last mutation,
-    /// which is the version the table's statistics describe).
+    /// Per-table row counts and statistics freshness (the catalog version at which each
+    /// table's statistics were last invalidated, and the row count they describe).
     pub tables: Vec<TableInfo>,
 }
 
@@ -556,9 +556,10 @@ pub fn render_stats_text(snap: &StatsSnapshot, window: usize) -> String {
         m.plans_reordered, m.build_sides_swapped, m.estimator_invocations,
     );
     for table in &snap.tables {
+        let stats_rows = table.stats_rows.map_or_else(|| "-".to_string(), |r| r.to_string());
         let _ = write!(
             text,
-            "\ntable {} rows={} stats_version={}",
+            "\ntable {} rows={} stats_version={} stats_rows={stats_rows}",
             table.name, table.rows, table.modified_version,
         );
     }
@@ -739,8 +740,8 @@ pub fn render_prometheus(snap: &StatsSnapshot) -> String {
         }
         let _ = writeln!(
             out,
-            "# HELP perm_table_stats_version Catalog version of each table's last mutation \
-             (the version its statistics describe)."
+            "# HELP perm_table_stats_version Catalog version at which each table's statistics \
+             were last invalidated."
         );
         let _ = writeln!(out, "# TYPE perm_table_stats_version gauge");
         for t in &snap.tables {
@@ -840,7 +841,15 @@ mod tests {
             },
             stream_buffered: 0,
             metrics: metrics.snapshot(),
-            tables: vec![TableInfo { name: "r".to_string(), rows: 42, modified_version: 3 }],
+            tables: vec![
+                TableInfo {
+                    name: "r".to_string(),
+                    rows: 42,
+                    modified_version: 3,
+                    stats_rows: Some(40),
+                },
+                TableInfo { name: "s".to_string(), rows: 1, modified_version: 4, stats_rows: None },
+            ],
         };
         let text = render_prometheus(&snap);
         assert!(text.contains("# TYPE perm_queries_total counter"));
@@ -863,7 +872,8 @@ mod tests {
         assert!(stats.contains("plan_cache hits=0"));
         assert!(stats.contains("queries active=0 ok=1"));
         assert!(stats.contains("optimizer reordered=0 build_swaps=0 estimator_calls=0"));
-        assert!(stats.contains("table r rows=42 stats_version=3"));
+        assert!(stats.contains("table r rows=42 stats_version=3 stats_rows=40"));
+        assert!(stats.contains("table s rows=1 stats_version=4 stats_rows=-"));
     }
 
     #[test]

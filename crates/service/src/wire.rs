@@ -55,50 +55,39 @@ pub fn write_bytes_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<
 pub fn read_bytes_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match reader.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+        Ok(()) => read_payload(reader, len_buf).map(Some),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Read one length-prefixed frame. Returns `None` on a clean EOF at a frame boundary.
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    match reader.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8"))
+    read_bytes_frame(reader)?.map(utf8_payload).transpose()
 }
 
 /// Read the remainder of a frame whose first length byte has already been consumed (used by
 /// the server, which polls for the first byte with a short timeout and must then finish the
 /// frame without treating a mid-frame stall as "no request").
 pub fn read_frame_rest(reader: &mut impl Read, first_len_byte: u8) -> io::Result<String> {
-    let mut rest = [0u8; 3];
-    reader.read_exact(&mut rest)?;
-    let len = u32::from_be_bytes([first_len_byte, rest[0], rest[1], rest[2]]) as usize;
+    let mut len_buf = [first_len_byte, 0, 0, 0];
+    reader.read_exact(&mut len_buf[1..])?;
+    utf8_payload(read_payload(reader, len_buf)?)
+}
+
+/// Read the payload announced by a frame's big-endian length header, refusing lengths over
+/// [`MAX_FRAME_LEN`].
+fn read_payload(reader: &mut impl Read, len_buf: [u8; 4]) -> io::Result<Vec<u8>> {
+    let len = u32::from_be_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
     }
     let mut payload = vec![0u8; len];
     reader.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
+fn utf8_payload(payload: Vec<u8>) -> io::Result<String> {
     String::from_utf8(payload)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8"))
 }

@@ -1,5 +1,6 @@
 //! Prepared-statement edge cases (re-bind, wrong arity, NULL parameters) and plan-cache
-//! behaviour (hit on repetition, invalidation on DDL/DML commits).
+//! behaviour (hit on repetition, survival across small inserts, invalidation on DDL and on
+//! inserts that drop a table's statistics).
 
 use std::sync::Arc;
 
@@ -137,6 +138,65 @@ fn plan_cache_hits_and_is_invalidated_by_commits() {
     // And the results are still correct after all of that (new item 4 never joins).
     let result = session.execute(sql).unwrap();
     assert_eq!(result.num_rows(), 5);
+}
+
+#[test]
+fn cached_provenance_plans_survive_small_inserts() {
+    let engine = Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())));
+    let session = engine.session();
+    let items: Vec<String> = (1..=20).map(|i| format!("({i}, {})", i * 10)).collect();
+    let sales: Vec<String> = (1..=20).map(|i| format!("('s{i}', {i})")).collect();
+    session
+        .execute_script(&format!(
+            "CREATE TABLE items (id INT, price INT);\n\
+             CREATE TABLE sales (sName TEXT, itemId INT);\n\
+             INSERT INTO items VALUES {};\n\
+             INSERT INTO sales VALUES {};",
+            items.join(", "),
+            sales.join(", ")
+        ))
+        .unwrap();
+    let sql = "SELECT PROVENANCE sName, sum(price) AS total FROM sales, items \
+               WHERE itemId = id GROUP BY sName";
+    assert_eq!(session.execute(sql).unwrap().num_rows(), 20);
+    let planned = engine.cache_stats();
+
+    // One row is 5 % of `sales`: the cached plan serves the next run, which still sees the
+    // new row (execution reads a fresh snapshot) together with its witness tuples.
+    session.execute("INSERT INTO sales VALUES ('zed', 3)").unwrap();
+    let result = session.execute(sql).unwrap();
+    let after_small = engine.cache_stats();
+    assert_eq!(after_small.hits, planned.hits + 1, "small insert keeps the plan");
+    assert_eq!(after_small.misses, planned.misses);
+    assert_eq!(after_small.invalidations, planned.invalidations);
+    assert_eq!(result.num_rows(), 21);
+    let zed = (0..result.num_rows())
+        .find(|&row| result.value_at(row, "sname").unwrap() == &Value::text("zed"))
+        .expect("the inserted sale forms its own group");
+    for (column, expected) in [
+        ("total", Value::Int(30)),
+        ("prov_sales_sname", Value::text("zed")),
+        ("prov_sales_itemid", Value::Int(3)),
+        ("prov_items_id", Value::Int(3)),
+        ("prov_items_price", Value::Int(30)),
+    ] {
+        assert_eq!(result.value_at(zed, column).unwrap(), &expected, "{column}");
+    }
+
+    // Two more rows put `sales` 15 % past its statistics: one invalidation, one re-plan.
+    session.execute("INSERT INTO sales VALUES ('s1', 1), ('s2', 2)").unwrap();
+    // Groups s1 and s2 now have two witnesses each: one provenance row per witness.
+    assert_eq!(session.execute(sql).unwrap().num_rows(), 23);
+    let after_large = engine.cache_stats();
+    assert_eq!(after_large.invalidations, after_small.invalidations + 1);
+    assert_eq!(after_large.misses, after_small.misses + 1, "re-planned");
+    session.execute(sql).unwrap();
+    assert_eq!(engine.cache_stats().hits, after_large.hits + 1, "cache warm again");
+
+    // DDL still invalidates.
+    session.execute("CREATE TABLE scratch (x INT)").unwrap();
+    session.execute(sql).unwrap();
+    assert_eq!(engine.cache_stats().invalidations, after_large.invalidations + 1);
 }
 
 #[test]

@@ -64,31 +64,36 @@ pub struct TableEntry {
     pub name: String,
     /// The stored relation.
     pub relation: Arc<Relation>,
-    /// The catalog version at which this table's contents last changed. Statistics are
-    /// collected lazily from the current contents, so this version *is* the statistics
-    /// refresh point: a statistic served for this table is exactly as fresh as this commit.
+    /// The catalog version at which this table's statistics were last invalidated: its
+    /// creation or overwrite, or the latest insert that dropped its statistics (see
+    /// [`crate::stats`]). Inserts that keep the statistics leave it, and the catalog version,
+    /// alone, so a statistic served for this table is at most 10 % off in row count.
     pub modified_version: u64,
 }
 
-/// One table's identity and freshness, as reported by [`Catalog::table_infos`] (the backing
-/// data of the wire `stats` per-table lines).
+/// One table's identity and statistics freshness, as reported by [`Catalog::table_infos`]
+/// (the backing data of the wire `stats` per-table lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableInfo {
     /// Table name (normalized).
     pub name: String,
     /// Current row count.
     pub rows: usize,
-    /// Catalog version at which the contents (and therefore the statistics) last changed.
+    /// Catalog version at which the table's statistics were last invalidated.
     pub modified_version: u64,
+    /// The row count the cached statistics describe (`None` while none are collected); it
+    /// trails `rows` by at most 10 %.
+    pub stats_rows: Option<u64>,
 }
 
 #[derive(Debug, Default)]
 struct CatalogInner {
     tables: BTreeMap<String, TableEntry>,
     views: BTreeMap<String, ViewDef>,
-    /// Monotonically increasing commit counter, bumped by every successful DDL or DML
-    /// operation. Plan caches key their entries to the version observed at planning time and
-    /// treat any bump as an invalidation.
+    /// Monotonically increasing commit counter, bumped by every successful DDL, view change
+    /// and overwrite, and by every insert that drops some table's statistics; an insert that
+    /// keeps them commits without a bump. Plan caches key their entries to the version
+    /// observed at planning time and treat any bump as an invalidation.
     version: u64,
 }
 
@@ -206,24 +211,21 @@ impl Catalog {
         Ok(())
     }
 
-    /// Insert tuples into an existing table.
+    /// Insert tuples into an existing table (see [`Catalog::insert_many`] for when the version
+    /// moves).
     pub fn insert(&self, name: &str, tuples: Vec<Tuple>) -> Result<usize, CatalogError> {
-        let key = Self::normalize(name);
-        let mut inner = self.inner.write();
-        let version = inner.version + 1;
-        let entry =
-            inner.tables.get_mut(&key).ok_or_else(|| CatalogError::NotFound(name.to_string()))?;
-        let n = tuples.len();
-        Arc::make_mut(&mut entry.relation).extend(tuples)?;
-        entry.modified_version = version;
-        inner.version = version;
-        Ok(n)
+        self.insert_many(vec![(name, tuples)])
     }
 
     /// Insert tuples into several tables as **one atomic commit**: a concurrent
     /// [`Catalog::snapshot`] observes either none or all of the batches, never a half-applied
     /// state. All batches are validated (table existence and tuple arity) before any of them is
     /// applied, so an error leaves the catalog unchanged.
+    ///
+    /// The version moves, once, only when some table's append drops its statistics (its row
+    /// count left the [`crate::STATS_REFRESH_PERCENT`] band, or none were collected); those
+    /// tables' `modified_version` becomes the new version. Cached plans survive the other
+    /// inserts: they stay correct because execution always reads a fresh snapshot.
     pub fn insert_many(&self, batches: Vec<(&str, Vec<Tuple>)>) -> Result<usize, CatalogError> {
         let mut inner = self.inner.write();
         for (name, tuples) in &batches {
@@ -239,8 +241,8 @@ impl Catalog {
                 )));
             }
         }
-        inner.version += 1;
-        let version = inner.version;
+        let inner = &mut *inner;
+        let version = inner.version + 1;
         let mut n = 0;
         for (name, tuples) in batches {
             // Validated above under the same write lock, so the lookup cannot fail; surface
@@ -249,8 +251,12 @@ impl Catalog {
                 CatalogError::Invalid(format!("internal: table '{name}' vanished mid-commit"))
             })?;
             n += tuples.len();
-            Arc::make_mut(&mut entry.relation).extend(tuples)?;
-            entry.modified_version = version;
+            let relation = Arc::make_mut(&mut entry.relation);
+            relation.extend(tuples)?;
+            if relation.cached_stats().is_none() {
+                entry.modified_version = version;
+                inner.version = version;
+            }
         }
         Ok(n)
     }
@@ -268,7 +274,9 @@ impl Catalog {
         }
     }
 
-    /// The current commit version (bumped by every successful DDL/DML operation).
+    /// The current commit version: the key plan caches tag their entries with. Every
+    /// successful DDL, view change and overwrite bumps it, and so does an insert that drops a
+    /// table's statistics; an insert that keeps them does not (see [`Catalog::insert_many`]).
     pub fn version(&self) -> u64 {
         self.inner.read().version
     }
@@ -409,8 +417,9 @@ impl Catalog {
 
     /// Per-table row counts and statistics freshness, sorted by name. One read lock: every
     /// entry describes the same catalog instant, alongside the current [`Catalog::version`]
-    /// (a table whose `modified_version` equals the current version changed in the latest
-    /// commit; older values tell exactly how stale a cached estimate could be).
+    /// (a table whose `modified_version` equals the current version had its statistics
+    /// invalidated by the latest version bump; `stats_rows` against `rows` shows how far the
+    /// cached statistics trail the contents, at most 10 %).
     pub fn table_infos(&self) -> Vec<TableInfo> {
         let inner = self.inner.read();
         inner
@@ -420,6 +429,7 @@ impl Catalog {
                 name: e.name.clone(),
                 rows: e.relation.num_rows(),
                 modified_version: e.modified_version,
+                stats_rows: e.relation.cached_stats().map(|s| s.row_count),
             })
             .collect()
     }
@@ -556,6 +566,80 @@ mod tests {
             a.modified_version
         );
         assert!(catalog.version() > a.modified_version);
+    }
+
+    fn analyzed_items(catalog: &Catalog, name: &str, rows: i64) {
+        let tuples = (0..rows).map(|i| tuple![i, i * 10]).collect();
+        catalog
+            .create_table_with_data(name, Relation::new(items_schema(), tuples).unwrap())
+            .unwrap();
+        catalog.analyze();
+    }
+
+    fn info(catalog: &Catalog, name: &str) -> TableInfo {
+        catalog.table_infos().into_iter().find(|i| i.name == name).unwrap()
+    }
+
+    #[test]
+    fn version_moves_exactly_when_an_insert_drops_statistics() {
+        let catalog = Catalog::new();
+        analyzed_items(&catalog, "items", 20);
+        let v = catalog.version();
+        let created = info(&catalog, "items").modified_version;
+        // Within 10 % of 20 rows: statistics and version stay put.
+        catalog.insert("items", vec![tuple![20, 1]]).unwrap();
+        catalog.insert("items", vec![tuple![21, 1]]).unwrap();
+        assert_eq!(catalog.version(), v);
+        let kept = info(&catalog, "items");
+        assert_eq!((kept.rows, kept.stats_rows, kept.modified_version), (22, Some(20), created));
+        // Past 10 %: the statistics drop, the version moves once and marks the table.
+        catalog.insert("items", vec![tuple![22, 1]]).unwrap();
+        assert_eq!(catalog.version(), v + 1);
+        let dropped = info(&catalog, "items");
+        assert_eq!((dropped.stats_rows, dropped.modified_version), (None, v + 1));
+        // Without collected statistics every insert moves the version.
+        catalog.insert("items", vec![tuple![23, 1]]).unwrap();
+        assert_eq!(catalog.version(), v + 2);
+        // Recollection is exact, and the next small insert keeps it again.
+        catalog.analyze();
+        assert_eq!(info(&catalog, "items").stats_rows, Some(24));
+        catalog.insert("items", vec![tuple![24, 1]]).unwrap();
+        assert_eq!(catalog.version(), v + 2);
+        // DDL still moves the version.
+        catalog.create_view("v", "SELECT 1").unwrap();
+        assert_eq!(catalog.version(), v + 3);
+    }
+
+    #[test]
+    fn empty_table_statistics_never_survive_an_insert() {
+        let catalog = Catalog::new();
+        catalog.create_table("items", items_schema()).unwrap();
+        catalog.analyze();
+        assert_eq!(info(&catalog, "items").stats_rows, Some(0));
+        let v = catalog.version();
+        catalog.insert("items", vec![tuple![1, 1]]).unwrap();
+        assert_eq!(catalog.version(), v + 1);
+        assert_eq!(info(&catalog, "items").stats_rows, None);
+    }
+
+    #[test]
+    fn insert_many_applies_the_rule_per_table_and_bumps_once() {
+        let catalog = Catalog::new();
+        analyzed_items(&catalog, "big", 100);
+        analyzed_items(&catalog, "small", 5);
+        let v = catalog.version();
+        let big_before = info(&catalog, "big").modified_version;
+        // Both tables keep their statistics: no commit version.
+        catalog.insert_many(vec![("big", vec![tuple![100, 1]]), ("small", vec![])]).unwrap();
+        assert_eq!(catalog.version(), v);
+        // One row is 1 % of `big` but 20 % of `small`: only `small` refreshes, one bump.
+        catalog
+            .insert_many(vec![("big", vec![tuple![101, 1]]), ("small", vec![tuple![5, 1]])])
+            .unwrap();
+        assert_eq!(catalog.version(), v + 1);
+        let (big, small) = (info(&catalog, "big"), info(&catalog, "small"));
+        assert_eq!((big.stats_rows, big.modified_version), (Some(100), big_before));
+        assert_eq!((small.stats_rows, small.modified_version), (None, v + 1));
     }
 
     #[test]

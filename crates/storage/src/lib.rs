@@ -23,4 +23,4 @@ pub mod stats;
 
 pub use catalog::{Catalog, CatalogError, CatalogSnapshot, TableEntry, TableInfo, ViewDef};
 pub use relation::Relation;
-pub use stats::{ColumnStats, TableStats};
+pub use stats::{ColumnStats, TableStats, STATS_REFRESH_PERCENT};

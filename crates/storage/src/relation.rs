@@ -29,7 +29,8 @@ pub struct Relation {
     /// Columnar view; lazily built (and cached) from `tuples` on first chunked scan.
     chunks: OnceLock<Arc<Vec<DataChunk>>>,
     /// Per-column statistics; lazily collected from the columnar view on first request and
-    /// dropped by any mutation (see [`crate::stats`]).
+    /// dropped by an append that moves the row count past [`crate::STATS_REFRESH_PERCENT`]
+    /// (see [`crate::stats`]).
     stats: OnceLock<Arc<TableStats>>,
     /// Total row count, tracked eagerly so neither view has to materialise to answer it.
     rows: usize,
@@ -126,14 +127,21 @@ impl Relation {
     }
 
     /// Per-column statistics (row count, distinct values, NULL count, min/max), collected from
-    /// the columnar view on first request and cached. Mutations drop the cache, so the handle
-    /// always describes the relation contents at the time of the call. The collection pass
-    /// itself reuses [`Relation::chunks`], so a stored table pays the row→column conversion at
-    /// most once across scans *and* statistics.
+    /// the columnar view on first request and cached. Appends keep the cache while the row
+    /// count stays within [`crate::STATS_REFRESH_PERCENT`] of the collected `row_count`, so
+    /// the handle may describe a slightly smaller relation than the current one. The
+    /// collection pass itself reuses [`Relation::chunks`], so a stored table pays the
+    /// row→column conversion at most once across scans *and* statistics.
     pub fn stats(&self) -> Arc<TableStats> {
         self.stats
             .get_or_init(|| Arc::new(TableStats::compute(&self.chunks(), self.schema.arity())))
             .clone()
+    }
+
+    /// The cached statistics, if they have been collected and not dropped since; never
+    /// triggers a collection.
+    pub fn cached_stats(&self) -> Option<&Arc<TableStats>> {
+        self.stats.get()
     }
 
     /// Consume the relation returning its tuples.
@@ -161,9 +169,13 @@ impl Relation {
     /// chunks are reused by `Arc` bump and only the trailing partial chunk is rebuilt, so a
     /// workload interleaving small INSERT commits with queries pays O(chunk) per commit, not
     /// O(table).
+    ///
+    /// Cached statistics survive while they still describe the grown relation
+    /// ([`TableStats::still_describe`]); otherwise they are dropped and recollected lazily.
     fn append_rows(&mut self, new: Vec<Tuple>) {
-        // Statistics describe exact contents: recollect lazily after any append.
-        self.stats = OnceLock::new();
+        if !self.stats.get().is_some_and(|s| s.still_describe(self.rows + new.len())) {
+            self.stats = OnceLock::new();
+        }
         if !new.is_empty() {
             if let Some(cached) = self.chunks.get() {
                 let arity = self.schema.arity();

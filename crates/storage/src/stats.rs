@@ -3,11 +3,15 @@
 //! Statistics are collected from a [`crate::Relation`]'s cached columnar view
 //! ([`crate::Relation::chunks`]), so collection is a vectorized column-at-a-time sweep over
 //! data that base tables have already converted — never a row-by-row walk of boxed tuples.
-//! They are computed lazily on first request and cached on the relation; any mutation drops
-//! the cache, so a statistic handed out is always consistent with the relation contents it
-//! was computed from. Freshness across commits is tracked by the catalog's version counter
-//! (see [`crate::TableEntry::modified_version`]): plan caches already invalidate on version
-//! bumps, which makes stale-statistics plans impossible to serve by construction.
+//! They are computed lazily on first request and cached on the relation. Like PostgreSQL's
+//! autovacuum ANALYZE threshold, appends keep the cache while the relation's row count stays
+//! within [`STATS_REFRESH_PERCENT`] of the `row_count` the statistics were collected at; past
+//! that (or for statistics of an empty relation) the append drops them and the next request
+//! recollects them. A statistic handed out is therefore at most 10 % off in row count. The
+//! catalog moves its version only when a write drops a table's statistics (see
+//! [`crate::TableEntry::modified_version`]), so plan caches keyed on that version keep their
+//! plans across small appends and re-plan once the estimates they were built from are stale.
+//! Statistics steer only cost estimates (join order, build sides), never results.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -48,6 +52,10 @@ pub struct TableStats {
     pub columns: Vec<ColumnStats>,
 }
 
+/// How far, in percent of the collected `row_count`, a relation's row count may drift before
+/// an append drops its statistics — PostgreSQL's default `autovacuum_analyze_scale_factor`.
+pub const STATS_REFRESH_PERCENT: u64 = 10;
+
 impl TableStats {
     /// Collect statistics from a columnar view: one pass per column over every chunk.
     pub fn compute(chunks: &[DataChunk], arity: usize) -> TableStats {
@@ -73,6 +81,15 @@ impl TableStats {
             columns.push(stats);
         }
         TableStats { row_count: row_count as u64, columns }
+    }
+
+    /// Do these statistics still stand for the relation once it holds `rows` rows? True while
+    /// `rows` is within [`STATS_REFRESH_PERCENT`] of `row_count`; never for statistics of an
+    /// empty relation, whose every estimate an insert would overturn.
+    pub(crate) fn still_describe(&self, rows: usize) -> bool {
+        self.row_count > 0
+            && (rows as u64).abs_diff(self.row_count) * 100
+                <= self.row_count * STATS_REFRESH_PERCENT
     }
 
     /// Statistics of column `index`, if the table has that many columns.
@@ -145,6 +162,43 @@ mod tests {
         let after = r.stats();
         assert_eq!(after.row_count, 5);
         assert_eq!(after.column(0).unwrap().max, Some(Value::Int(9)));
+    }
+
+    fn numbered(rows: i64) -> Relation {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("name", DataType::Text)]);
+        Relation::new(schema, (0..rows).map(|i| tuple![i, "r"]).collect()).unwrap()
+    }
+
+    #[test]
+    fn stats_survive_appends_within_the_refresh_band() {
+        let mut r = numbered(20);
+        let collected = r.stats();
+        // 20 rows → 22 rows is exactly 10 % growth: the cache survives, one append at a time.
+        r.push(tuple![100, "x"]).unwrap();
+        r.extend(vec![tuple![101, "y"]]).unwrap();
+        assert_eq!(r.num_rows(), 22);
+        assert!(Arc::ptr_eq(&collected, r.cached_stats().unwrap()), "kept within 10 %");
+        assert_eq!(r.stats().row_count, 20, "the kept statistics describe 20 rows");
+        // The 23rd row leaves the band: dropped, then recollected exactly on the next request.
+        r.push(tuple![102, "z"]).unwrap();
+        assert!(r.cached_stats().is_none(), "dropped past 10 %");
+        let fresh = r.stats();
+        assert_eq!(fresh.row_count, 23);
+        assert_eq!(fresh.column(0).unwrap().max, Some(Value::Int(102)));
+        assert_eq!(fresh.column(1).unwrap().distinct, 4);
+    }
+
+    #[test]
+    fn empty_or_uncollected_stats_never_survive_an_append() {
+        let mut empty = Relation::empty(Schema::from_pairs(&[("x", DataType::Int)]));
+        assert_eq!(empty.stats().row_count, 0);
+        empty.push(tuple![1]).unwrap();
+        assert!(empty.cached_stats().is_none(), "statistics of an empty relation are dropped");
+        assert_eq!(empty.stats().row_count, 1);
+
+        let mut uncollected = numbered(100);
+        uncollected.push(tuple![100, "x"]).unwrap();
+        assert!(uncollected.cached_stats().is_none(), "an append never collects statistics");
     }
 
     #[test]
