@@ -1,9 +1,7 @@
-//! Row pipeline versus chunk pipeline on fig13-style SPJ provenance queries.
+//! The vectorized chunk pipeline (`Executor::execute`) on fig13-style SPJ provenance queries.
 //!
-//! Both sides execute the *same* pre-planned (analyzed, provenance-rewritten, optimized)
-//! plans, so the measured difference is purely the execution model: tuple-at-a-time streaming
-//! iterators (`Executor::execute_streaming`) against the vectorized columnar DataChunk
-//! pipeline (`Executor::execute`). Planning and the service-layer plan cache are out of the
+//! Every query is planned once up front (analyzed, provenance-rewritten, optimized), so the
+//! measurement is pure execution: planning and the service-layer plan cache are out of the
 //! picture.
 
 use std::time::Duration;
@@ -28,9 +26,6 @@ fn bench_vectorized_scan(c: &mut Criterion) {
         let provenance_sql = add_provenance_keyword(&sql);
         let plan = db.plan_sql(&provenance_sql).expect("provenance query plans");
         let executor = Executor::new(db.catalog().clone());
-        group.bench_with_input(BenchmarkId::new("row", num_sub), &plan, |b, plan| {
-            b.iter(|| executor.execute_streaming(plan).expect("row pipeline runs"));
-        });
         group.bench_with_input(BenchmarkId::new("chunk", num_sub), &plan, |b, plan| {
             b.iter(|| executor.execute(plan).expect("chunk pipeline runs"));
         });

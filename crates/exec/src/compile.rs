@@ -20,8 +20,8 @@
 use std::collections::HashSet;
 
 use perm_algebra::{
-    AggregateExpr, BinaryOperator, DataType, ScalarExpr, ScalarFunction, SublinkKind, Tuple,
-    UnaryOperator, Value,
+    AggregateExpr, BinaryOperator, DataType, LogicalPlan, ScalarExpr, ScalarFunction, SublinkKind,
+    Tuple, UnaryOperator, Value,
 };
 
 use crate::error::ExecError;
@@ -170,35 +170,49 @@ impl CompiledExpr {
                     }
                 }
             }
-            ScalarExpr::Sublink { kind, operand, negated, plan } => match kind {
-                SublinkKind::Exists => {
-                    // Only existence matters: pull at most one row from the sub-plan.
-                    let mut stream = executor.stream(plan, ctx)?;
-                    let non_empty = stream.next().transpose()?.is_some();
-                    CompiledExpr::Literal(Value::Bool(non_empty != *negated))
-                }
-                SublinkKind::Scalar => {
-                    let mut stream = executor.stream(plan, ctx)?;
-                    let first = stream.next().transpose()?;
-                    if stream.next().transpose()?.is_some() {
-                        return Err(ExecError::ScalarSubqueryTooManyRows);
+            ScalarExpr::Sublink { kind, operand, negated, plan } => {
+                check_sublink_width(*kind, plan)?;
+                match kind {
+                    SublinkKind::Exists => {
+                        // Only existence matters: stop at the first non-empty batch.
+                        let mut non_empty = false;
+                        for chunk in executor.stream_chunks(plan, ctx)? {
+                            if !chunk?.is_empty() {
+                                non_empty = true;
+                                break;
+                            }
+                        }
+                        CompiledExpr::Literal(Value::Bool(non_empty != *negated))
                     }
-                    let value = first.and_then(|t| t.get(0).cloned()).unwrap_or(Value::Null);
-                    CompiledExpr::Literal(value)
-                }
-                SublinkKind::InSubquery => {
-                    let operand = operand.as_ref().ok_or_else(|| {
-                        ExecError::Internal("IN sublink without an operand".into())
-                    })?;
-                    let operand = Box::new(CompiledExpr::compile(operand, executor, ctx)?);
-                    let mut values = Vec::new();
-                    for row in executor.stream(plan, ctx)? {
-                        let row = row?;
-                        values.push(row.get(0).cloned().unwrap_or(Value::Null));
+                    SublinkKind::Scalar => {
+                        // Stop pulling as soon as a second row shows up, in this batch or a
+                        // later one.
+                        let mut value = None;
+                        for chunk in executor.stream_chunks(plan, ctx)? {
+                            let chunk = chunk?;
+                            match (chunk.num_rows(), &value) {
+                                (0, _) => {}
+                                (1, None) => value = Some(chunk.column(0).value(0)),
+                                _ => return Err(ExecError::ScalarSubqueryTooManyRows),
+                            }
+                        }
+                        CompiledExpr::Literal(value.unwrap_or(Value::Null))
                     }
-                    compile_in_constants(operand, values, *negated)
+                    SublinkKind::InSubquery => {
+                        let operand = operand.as_ref().ok_or_else(|| {
+                            ExecError::Internal("IN sublink without an operand".into())
+                        })?;
+                        let operand = Box::new(CompiledExpr::compile(operand, executor, ctx)?);
+                        let mut values = Vec::new();
+                        for chunk in executor.stream_chunks(plan, ctx)? {
+                            let chunk = chunk?;
+                            let column = chunk.column(0);
+                            values.extend((0..chunk.num_rows()).map(|row| column.value(row)));
+                        }
+                        compile_in_constants(operand, values, *negated)
+                    }
                 }
-            },
+            }
         })
     }
 
@@ -335,6 +349,19 @@ pub(crate) fn in_values(
     } else {
         Ok(Value::Bool(negated))
     }
+}
+
+/// A scalar or `IN` sublink reads column 0 of its sub-plan, so the sub-plan must be exactly one
+/// column wide. The typed verifier rejects other widths for bound SQL; a hand-built plan gets
+/// this error instead.
+pub(crate) fn check_sublink_width(kind: SublinkKind, plan: &LogicalPlan) -> Result<(), ExecError> {
+    let width = plan.output_arity();
+    if kind == SublinkKind::Exists || width == 1 {
+        return Ok(());
+    }
+    Err(ExecError::Internal(format!(
+        "{kind:?} sublink needs a one-column subquery, got {width} columns"
+    )))
 }
 
 /// Choose the best representation for an `IN` over constant candidate values: a hash set when

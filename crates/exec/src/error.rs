@@ -39,7 +39,7 @@ pub enum ExecError {
     ResourceExhausted(String),
     /// Integer arithmetic overflowed the 64-bit value range.
     ///
-    /// All three execution pipelines (row-at-a-time, vectorized and parallel) surface integer
+    /// Every execution path (vectorized, parallel and the reference evaluator) surfaces integer
     /// overflow as this error with the same payload, so differential tests can assert identical
     /// failure behaviour; silent wrapping would instead produce pipeline-dependent results.
     ArithmeticOverflow {

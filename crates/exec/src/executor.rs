@@ -1,19 +1,17 @@
 //! The query executor: evaluates logical plans against a catalog as a pull-based pipeline.
 //!
-//! The primary pipeline is **vectorized**: operators exchange [`perm_algebra::DataChunk`]
-//! batches of up to [`perm_algebra::DEFAULT_CHUNK_SIZE`] columnar rows via `next_chunk()`-style
-//! iterators (see [`crate::vector`]). This module keeps the original tuple-at-a-time pipeline
-//! as [`Executor::execute_streaming`] — every operator compiled into a
-//! `Box<dyn Iterator<Item = Result<Tuple, ExecError>>>` — both as a second differential-testing
-//! target against the reference evaluator and as the baseline the `vectorized_scan` benchmark
-//! compares against.
+//! Operators exchange [`perm_algebra::DataChunk`] batches of up to
+//! [`perm_algebra::DEFAULT_CHUNK_SIZE`] columnar rows via `next_chunk()`-style iterators (see
+//! [`crate::vector`]); [`crate::parallel`] runs the same operators morsel-parallel. This module
+//! holds what both share: resource limits, the executor entry points, equi-join key
+//! extraction, aggregate accumulators and the row-shaped set-operation algebra.
 //!
-//! In both pipelines, selection, projection, limit, subquery aliases and provenance annotations
-//! **stream**: they pull one batch (or tuple) at a time from their input and never materialize
-//! intermediate relations. Only the true pipeline breakers materialize — sort, aggregation, set
-//! operations and the build side of a hash join. `LIMIT` short-circuits: once it has produced
-//! `limit` rows it stops pulling, so the operators beneath it stop doing work (and stop being
-//! charged against the row budget).
+//! Selection, projection, limit, subquery aliases and provenance annotations **stream**: they
+//! pull one batch at a time from their input and never materialize intermediate relations.
+//! Only the true pipeline breakers materialize — sort, aggregation, set operations and the
+//! build side of a hash join. `LIMIT` short-circuits: once it has produced `limit` rows it
+//! stops pulling, so the operators beneath it stop doing work (and stop being charged against
+//! the row budget).
 //!
 //! Scalar expressions are compiled once per operator into [`crate::compile::CompiledExpr`]
 //! (uncorrelated sublinks executed exactly once, `IN (SELECT ...)` turned into a hash-set
@@ -25,10 +23,11 @@
 //! Execution can be bounded with [`ExecOptions`] (row budget / wall-clock timeout) to reproduce
 //! the paper's behaviour of stopping runaway provenance queries (black cells in Figures 10/11).
 //! Budgets are enforced *incrementally* by the row-creating operators (scans, joins, set
-//! operations) as tuples flow, not after an operator has already materialized its output.
+//! operations) as batches flow, not after an operator has already materialized its output.
 //!
 //! A deliberately naive materializing evaluator is kept in [`crate::reference`] as the
-//! executable specification; property tests assert both paths produce identical relations.
+//! executable specification; property tests assert every pipeline produces identical
+//! relations.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -36,12 +35,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use perm_algebra::{
-    BinaryOperator, DataChunk, JoinKind, LogicalPlan, ScalarExpr, Schema, SetOpKind, SetSemantics,
-    SortOrder, Tuple, Value,
+    BinaryOperator, DataChunk, LogicalPlan, ScalarExpr, Schema, SetOpKind, SetSemantics, Tuple,
+    Value,
 };
 use perm_storage::{Catalog, CatalogSnapshot, Relation};
 
-use crate::compile::{CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
 
 /// A cooperative cancellation flag shared between a running query and whoever controls it
@@ -192,15 +190,15 @@ impl ExecContext {
         }
     }
 
-    /// The row budget, if any (the chunked pipeline caps its batch size at the budget so that
-    /// budget overruns are detected at the same row counts as in tuple-at-a-time execution).
+    /// The row budget, if any (the chunked pipeline caps its batch size at the budget, so a
+    /// budget overrun is detected as soon as one operator has produced `budget + 1` rows).
     pub(crate) fn row_budget(&self) -> Option<usize> {
         self.row_budget
     }
 
-    /// Check the wall-clock deadline *and* the cancellation token. Every pre-existing deadline
-    /// checkpoint in the four pipelines doubles as a cancellation point, so cancel latency is
-    /// bounded by the same strides that bound timeout latency.
+    /// Check the wall-clock deadline *and* the cancellation token. Every deadline checkpoint in
+    /// the vectorized and parallel pipelines doubles as a cancellation point, so cancel latency
+    /// is bounded by the same strides that bound timeout latency.
     pub(crate) fn check_deadline(&self) -> Result<(), ExecError> {
         if let Some(cancel) = &self.cancel {
             cancel.check()?;
@@ -244,10 +242,8 @@ impl ExecContext {
 /// An attached profile sink, cloned into operator iterators that outlive the context borrow.
 pub(crate) type ProfileHandle = Arc<crate::profile::ProfileSink>;
 
-/// Incremental row-budget / timeout enforcement for one operator's output.
-///
-/// The budget check fires on every produced row; the (comparatively expensive) deadline check
-/// fires every 256 rows.
+/// Incremental row-budget / timeout enforcement for one operator's output: every produced
+/// batch is charged against the budget, and the deadline is checked once per batch.
 #[derive(Debug)]
 pub(crate) struct RowGuard {
     produced: usize,
@@ -259,22 +255,7 @@ impl RowGuard {
         RowGuard { produced: 0, ctx: ctx.clone() }
     }
 
-    #[inline]
-    fn tick(&mut self) -> Result<(), ExecError> {
-        self.produced += 1;
-        if let Some(budget) = self.ctx.row_budget {
-            if self.produced > budget {
-                return Err(ExecError::RowBudgetExceeded { budget });
-            }
-        }
-        if self.produced & 0xFF == 0 {
-            self.ctx.check_deadline()?;
-        }
-        Ok(())
-    }
-
-    /// Charge a whole batch of rows at once (the chunked pipeline's equivalent of per-row
-    /// ticking: budget totals are identical, the deadline is checked once per batch).
+    /// Charge a batch of `rows` produced rows and check the deadline.
     #[inline]
     pub(crate) fn tick_many(&mut self, rows: usize) -> Result<(), ExecError> {
         self.produced += rows;
@@ -286,9 +267,6 @@ impl RowGuard {
         self.ctx.check_deadline()
     }
 }
-
-/// The item stream flowing between operators.
-pub(crate) type TupleIter<'a> = Box<dyn Iterator<Item = Result<Tuple, ExecError>> + 'a>;
 
 /// A pull-based stream of result [`DataChunk`]s from [`Executor::execute_chunked`], carrying
 /// the plan's output schema so consumers can describe results before the first chunk arrives.
@@ -366,8 +344,8 @@ impl Executor {
         self.params.get(index).cloned().ok_or(ExecError::UnboundParameter { index })
     }
 
-    /// Resolve this executor's options into a per-execution context (shared by the vectorized,
-    /// streaming and parallel pipelines).
+    /// Resolve this executor's options into a per-execution context (shared by the vectorized
+    /// and parallel pipelines).
     pub(crate) fn context(&self) -> ExecContext {
         ExecContext::new(&self.options)
     }
@@ -396,235 +374,6 @@ impl Executor {
         let inner = self.stream_chunks(plan, &ctx)?;
         Ok(ChunkStream { schema, inner })
     }
-
-    /// Execute a plan through the tuple-at-a-time streaming pipeline. Kept as a second
-    /// independently implemented execution path for differential tests and as the
-    /// row-versus-chunk baseline of the `vectorized_scan` benchmark.
-    pub fn execute_streaming(&self, plan: &LogicalPlan) -> Result<Relation, ExecError> {
-        let ctx = ExecContext::new(&self.options);
-        let schema = plan.schema();
-        let tuples = self.stream(plan, &ctx)?.collect::<Result<Vec<_>, _>>()?;
-        Ok(Relation::from_parts(schema, tuples))
-    }
-
-    /// Execute a plan with the naive materializing reference evaluator (the executable
-    /// specification of operator semantics; ignores resource limits). Exposed for differential
-    /// tests.
-    pub fn execute_reference(&self, plan: &LogicalPlan) -> Result<Relation, ExecError> {
-        crate::reference::execute_reference(&self.catalog, plan)
-    }
-
-    /// Build the iterator pipeline for `plan`.
-    pub(crate) fn stream<'a>(
-        &'a self,
-        plan: &'a LogicalPlan,
-        ctx: &ExecContext,
-    ) -> Result<TupleIter<'a>, ExecError> {
-        Ok(match plan {
-            LogicalPlan::BaseRelation { name, schema, .. } => {
-                Box::new(self.scan(name, schema, None, None, ctx)?)
-            }
-            LogicalPlan::Values { rows, .. } => {
-                let mut guard = RowGuard::new(ctx);
-                Box::new(rows.iter().map(move |t| {
-                    guard.tick()?;
-                    Ok(t.clone())
-                }))
-            }
-            LogicalPlan::Selection { input, predicate } => {
-                let predicate = CompiledExpr::compile(predicate, self, ctx)?;
-                // Fuse a selection directly over a base relation into the scan: the predicate is
-                // evaluated against the *stored* tuple and only matches are cloned.
-                if let LogicalPlan::BaseRelation { name, schema, .. } = strip_transparent(input) {
-                    return Ok(Box::new(self.scan(name, schema, Some(predicate), None, ctx)?));
-                }
-                let child = self.stream(input, ctx)?;
-                Box::new(child.filter_map(move |r| match r {
-                    Ok(t) => match predicate.eval_predicate(&t) {
-                        Ok(true) => Some(Ok(t)),
-                        Ok(false) => None,
-                        Err(e) => Some(Err(e)),
-                    },
-                    Err(e) => Some(Err(e)),
-                }))
-            }
-            LogicalPlan::Projection { input, exprs, distinct } => {
-                let exprs: Vec<CompiledExpr> = exprs
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                // Fuse projection (and an optional selection) over a base relation: expressions
-                // read the stored tuple, so only the projected values are ever cloned.
-                let fused: Option<TupleIter<'a>> = match strip_transparent(input) {
-                    LogicalPlan::BaseRelation { name, schema, .. } => {
-                        Some(Box::new(self.scan(name, schema, None, Some(exprs.clone()), ctx)?))
-                    }
-                    LogicalPlan::Selection { input: sel_input, predicate }
-                        if matches!(
-                            strip_transparent(sel_input),
-                            LogicalPlan::BaseRelation { .. }
-                        ) =>
-                    {
-                        let LogicalPlan::BaseRelation { name, schema, .. } =
-                            strip_transparent(sel_input)
-                        else {
-                            unreachable!("matched above");
-                        };
-                        let predicate = CompiledExpr::compile(predicate, self, ctx)?;
-                        Some(Box::new(self.scan(
-                            name,
-                            schema,
-                            Some(predicate),
-                            Some(exprs.clone()),
-                            ctx,
-                        )?))
-                    }
-                    _ => None,
-                };
-                let mapped: TupleIter<'a> = match fused {
-                    Some(iter) => iter,
-                    None => {
-                        let child = self.stream(input, ctx)?;
-                        Box::new(child.map(move |r| project_tuple(&exprs, &r?)))
-                    }
-                };
-                if *distinct {
-                    Box::new(DistinctIter { inner: mapped, seen: std::collections::HashSet::new() })
-                } else {
-                    mapped
-                }
-            }
-            LogicalPlan::Join { left, right, kind, condition } => {
-                let left_arity = left.output_arity();
-                let right_arity = right.output_arity();
-                // The build side materializes (pipeline breaker); the probe side streams.
-                let right_rows: Vec<Tuple> = self.stream(right, ctx)?.collect::<Result<_, _>>()?;
-                let (equi_keys, residual) = match condition {
-                    Some(c) => split_equi_join_condition(c, left_arity),
-                    None => (Vec::new(), Vec::new()),
-                };
-                let (mode, filter) = if equi_keys.is_empty() {
-                    let filter = condition
-                        .as_ref()
-                        .map(|c| CompiledExpr::compile(c, self, ctx))
-                        .transpose()?;
-                    (JoinMode::nested_loop(&right_rows), filter)
-                } else {
-                    let filter = if residual.is_empty() {
-                        None
-                    } else {
-                        Some(CompiledExpr::compile(
-                            &ScalarExpr::conjunction(residual.into_iter().cloned().collect()),
-                            self,
-                            ctx,
-                        )?)
-                    };
-                    (JoinMode::hash(&right_rows, equi_keys, left_arity)?, filter)
-                };
-                let mut guard = RowGuard::new(ctx);
-                let join = JoinIter {
-                    left: self.stream(left, ctx)?,
-                    right: right_rows,
-                    kind: *kind,
-                    left_arity,
-                    right_arity,
-                    mode,
-                    filter,
-                    right_matched: Vec::new(),
-                    cur: None,
-                    cur_matched: false,
-                    cursor: Cursor::Index(0),
-                    drain: 0,
-                    probing: true,
-                    evals: 0,
-                    ctx: ctx.clone(),
-                };
-                Box::new(join.map(move |r| {
-                    let t = r?;
-                    guard.tick()?;
-                    Ok(t)
-                }))
-            }
-            LogicalPlan::Aggregation { input, group_by, aggregates } => {
-                let group_by: Vec<CompiledExpr> = group_by
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                let aggregates: Vec<CompiledAggregate> = aggregates
-                    .iter()
-                    .map(|(a, _)| CompiledAggregate::compile(a, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                let rows = aggregate_stream(self.stream(input, ctx)?, &group_by, &aggregates)?;
-                Box::new(rows.into_iter().map(Ok))
-            }
-            LogicalPlan::SetOp { left, right, kind, semantics } => {
-                let left_rows: Vec<Tuple> = self.stream(left, ctx)?.collect::<Result<_, _>>()?;
-                let right_rows: Vec<Tuple> = self.stream(right, ctx)?.collect::<Result<_, _>>()?;
-                let out = set_operation(left_rows, right_rows, *kind, *semantics);
-                let mut guard = RowGuard::new(ctx);
-                Box::new(out.into_iter().map(move |t| {
-                    guard.tick()?;
-                    Ok(t)
-                }))
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let compiled: Vec<(CompiledExpr, SortOrder)> = keys
-                    .iter()
-                    .map(|k| Ok((CompiledExpr::compile(&k.expr, self, ctx)?, k.order)))
-                    .collect::<Result<_, ExecError>>()?;
-                let mut rows: Vec<Tuple> = self.stream(input, ctx)?.collect::<Result<_, _>>()?;
-                sort_rows(&mut rows, &compiled)?;
-                Box::new(rows.into_iter().map(Ok))
-            }
-            LogicalPlan::Limit { input, limit, offset } => {
-                // Streaming limit: stop pulling from the input once satisfied, so the operators
-                // beneath do no further work.
-                let mut child = self.stream(input, ctx)?;
-                let mut to_skip = *offset;
-                let mut remaining = limit.unwrap_or(usize::MAX);
-                Box::new(std::iter::from_fn(move || loop {
-                    if remaining == 0 {
-                        return None;
-                    }
-                    match child.next()? {
-                        Err(e) => return Some(Err(e)),
-                        Ok(t) => {
-                            if to_skip > 0 {
-                                to_skip -= 1;
-                                continue;
-                            }
-                            remaining -= 1;
-                            return Some(Ok(t));
-                        }
-                    }
-                }))
-            }
-            LogicalPlan::SubqueryAlias { input, .. } => self.stream(input, ctx)?,
-            LogicalPlan::ProvenanceAnnotation { input, .. } => self.stream(input, ctx)?,
-        })
-    }
-
-    /// A (possibly filtered / projected) scan over a zero-copy snapshot of a base relation.
-    /// The row guard ticks per *scanned* row, preserving the pre-streaming budget semantics for
-    /// base-relation reads even when a selection or projection is fused into the scan.
-    fn scan(
-        &self,
-        name: &str,
-        schema: &Schema,
-        predicate: Option<CompiledExpr>,
-        exprs: Option<Vec<CompiledExpr>>,
-        ctx: &ExecContext,
-    ) -> Result<ScanIter, ExecError> {
-        let rel = self.snapshot.table(name)?;
-        if rel.schema().arity() != schema.arity() {
-            return Err(ExecError::Internal(format!(
-                "stored table '{name}' has arity {} but the plan expects {}",
-                rel.schema().arity(),
-                schema.arity()
-            )));
-        }
-        Ok(ScanIter { rel, idx: 0, predicate, exprs, guard: RowGuard::new(ctx) })
-    }
 }
 
 /// Strip operators that are transparent to execution (aliases, provenance annotations). Shared
@@ -635,76 +384,6 @@ pub(crate) fn strip_transparent(plan: &LogicalPlan) -> &LogicalPlan {
         LogicalPlan::SubqueryAlias { input, .. }
         | LogicalPlan::ProvenanceAnnotation { input, .. } => strip_transparent(input),
         other => other,
-    }
-}
-
-/// Evaluate projection expressions against a tuple, producing the output tuple.
-pub(crate) fn project_tuple(exprs: &[CompiledExpr], tuple: &Tuple) -> Result<Tuple, ExecError> {
-    let mut values = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        values.push(e.eval(tuple)?);
-    }
-    Ok(Tuple::new(values))
-}
-
-/// Streaming scan over an [`Arc`] snapshot of a stored relation, with optional fused selection
-/// and projection. Tuples are cloned (or projected) only after the predicate passes.
-struct ScanIter {
-    rel: Arc<Relation>,
-    idx: usize,
-    predicate: Option<CompiledExpr>,
-    exprs: Option<Vec<CompiledExpr>>,
-    guard: RowGuard,
-}
-
-impl Iterator for ScanIter {
-    type Item = Result<Tuple, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.idx >= self.rel.num_rows() {
-                return None;
-            }
-            let tuple = &self.rel.tuples()[self.idx];
-            self.idx += 1;
-            if let Err(e) = self.guard.tick() {
-                return Some(Err(e));
-            }
-            if let Some(predicate) = &self.predicate {
-                match predicate.eval_predicate(tuple) {
-                    Ok(true) => {}
-                    Ok(false) => continue,
-                    Err(e) => return Some(Err(e)),
-                }
-            }
-            return Some(match &self.exprs {
-                None => Ok(tuple.clone()),
-                Some(exprs) => project_tuple(exprs, tuple),
-            });
-        }
-    }
-}
-
-/// Streaming duplicate elimination (DISTINCT) preserving first-occurrence order.
-struct DistinctIter<'a> {
-    inner: TupleIter<'a>,
-    seen: std::collections::HashSet<Tuple>,
-}
-
-impl Iterator for DistinctIter<'_> {
-    type Item = Result<Tuple, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match self.inner.next()? {
-                Err(e) => return Some(Err(e)),
-                Ok(t) => {
-                    if self.seen.insert(t.clone()) {
-                        return Some(Ok(t));
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -749,9 +428,6 @@ pub(crate) fn split_equi_join_condition(
     (keys, residual)
 }
 
-/// Sentinel terminating a hash-join bucket chain.
-const CHAIN_END: u32 = u32::MAX;
-
 /// Can `v` participate in hash-key matching for an equi-join key? Under plain `=` a NULL key
 /// never matches, and neither does a float NaN (`sql_eq` on NaN is unknown) — but grouping
 /// equality, which the hash table uses, would match NaN to NaN, so NaN keys must be excluded
@@ -760,238 +436,6 @@ const CHAIN_END: u32 = u32::MAX;
 /// NaN match themselves.
 pub(crate) fn hash_joinable(v: &Value, null_safe: bool) -> bool {
     null_safe || !(v.is_null() || matches!(v, Value::Float(f) if f.is_nan()))
-}
-
-/// The probe strategy of a join: hash buckets over the build side, or plain nested loops.
-enum JoinMode {
-    /// Hash join: `head` maps a key to the first matching build-row index; `next[i]` chains to
-    /// the following build row with the same key (in increasing index order, so output order
-    /// matches the nested-loop order).
-    Hash {
-        keys: Vec<EquiKey>,
-        single: Option<HashMap<Value, u32>>,
-        multi: Option<HashMap<Tuple, u32>>,
-        next: Vec<u32>,
-    },
-    /// Nested loop over the whole build side.
-    Loop,
-}
-
-impl JoinMode {
-    fn nested_loop(_right_rows: &[Tuple]) -> JoinMode {
-        JoinMode::Loop
-    }
-
-    fn hash(
-        right_rows: &[Tuple],
-        keys: Vec<EquiKey>,
-        left_arity: usize,
-    ) -> Result<JoinMode, ExecError> {
-        let mut next = vec![CHAIN_END; right_rows.len()];
-        // Build in reverse so each bucket chain runs in increasing row order.
-        if keys.len() == 1 {
-            let key = keys[0];
-            let mut single: HashMap<Value, u32> = HashMap::with_capacity(right_rows.len());
-            for (i, row) in right_rows.iter().enumerate().rev() {
-                let Some(v) = row.get(key.right - left_arity) else { continue };
-                if !hash_joinable(v, key.null_safe) {
-                    continue;
-                }
-                if let Some(prev) = single.insert(v.clone(), i as u32) {
-                    next[i] = prev;
-                }
-            }
-            Ok(JoinMode::Hash { keys, single: Some(single), multi: None, next })
-        } else {
-            let mut multi: HashMap<Tuple, u32> = HashMap::with_capacity(right_rows.len());
-            for (i, row) in right_rows.iter().enumerate().rev() {
-                let Some(k) = join_key(row, &keys, |k| k.right - left_arity, |k| k.null_safe)
-                else {
-                    continue;
-                };
-                if let Some(prev) = multi.insert(k, i as u32) {
-                    next[i] = prev;
-                }
-            }
-            Ok(JoinMode::Hash { keys, single: None, multi: Some(multi), next })
-        }
-    }
-
-    /// The bucket-chain start (hash) or full-scan start (loop) for a probe row.
-    fn cursor_for(&self, left_row: &Tuple) -> Cursor {
-        match self {
-            JoinMode::Loop => Cursor::Index(0),
-            JoinMode::Hash { keys, single, multi, .. } => {
-                if let Some(single) = single {
-                    let key = keys[0];
-                    let start = match left_row.get(key.left) {
-                        Some(v) if hash_joinable(v, key.null_safe) => {
-                            single.get(v).copied().unwrap_or(CHAIN_END)
-                        }
-                        _ => CHAIN_END,
-                    };
-                    Cursor::Chain(start)
-                } else {
-                    // A hash mode without a single-key table always carries the multi-key
-                    // table; an absent table probes as "no match".
-                    let start = multi
-                        .as_ref()
-                        .and_then(|m| {
-                            join_key(left_row, keys, |k| k.left, |k| k.null_safe)
-                                .and_then(|k| m.get(&k).copied())
-                        })
-                        .unwrap_or(CHAIN_END);
-                    Cursor::Chain(start)
-                }
-            }
-        }
-    }
-}
-
-/// Probe-side position within the current left row's candidates.
-enum Cursor {
-    /// Hash mode: next build-row index in the bucket chain ([`CHAIN_END`] = exhausted).
-    Chain(u32),
-    /// Loop mode: next build-row index.
-    Index(usize),
-}
-
-/// Streaming join: pulls left (probe) rows one at a time; the right (build) side is
-/// materialized. Handles inner, cross and all outer joins; right/full outer joins drain their
-/// null-padded unmatched build rows after the probe side is exhausted.
-struct JoinIter<'a> {
-    left: TupleIter<'a>,
-    right: Vec<Tuple>,
-    kind: JoinKind,
-    left_arity: usize,
-    right_arity: usize,
-    mode: JoinMode,
-    /// Residual predicate (hash mode) or the full join condition (loop mode).
-    filter: Option<CompiledExpr>,
-    right_matched: Vec<bool>,
-    cur: Option<Tuple>,
-    cur_matched: bool,
-    cursor: Cursor,
-    drain: usize,
-    probing: bool,
-    /// Candidate evaluations since the last deadline check. A join can evaluate its condition
-    /// arbitrarily often without *producing* a row (selective nested loops), so the timeout must
-    /// be checked against work done, not rows emitted.
-    evals: usize,
-    ctx: ExecContext,
-}
-
-impl JoinIter<'_> {
-    /// The next candidate build-row index for the current probe row.
-    fn advance(&mut self) -> Option<usize> {
-        match &mut self.cursor {
-            Cursor::Chain(pos) => {
-                if *pos == CHAIN_END {
-                    return None;
-                }
-                let i = *pos as usize;
-                let JoinMode::Hash { next, .. } = &self.mode else {
-                    unreachable!("chain cursor implies hash mode");
-                };
-                *pos = next[i];
-                Some(i)
-            }
-            Cursor::Index(pos) => {
-                if *pos >= self.right.len() {
-                    return None;
-                }
-                let i = *pos;
-                *pos += 1;
-                Some(i)
-            }
-        }
-    }
-}
-
-impl Iterator for JoinIter<'_> {
-    type Item = Result<Tuple, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.right_matched.is_empty() && !self.right.is_empty() {
-            self.right_matched = vec![false; self.right.len()];
-        }
-        while self.probing {
-            if self.cur.is_none() {
-                match self.left.next() {
-                    None => {
-                        self.probing = false;
-                        break;
-                    }
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(t)) => {
-                        self.cursor = self.mode.cursor_for(&t);
-                        self.cur = Some(t);
-                        self.cur_matched = false;
-                    }
-                }
-            }
-            while let Some(ri) = self.advance() {
-                self.evals += 1;
-                if self.evals & 0x3FF == 0 {
-                    if let Err(e) = self.ctx.check_deadline() {
-                        return Some(Err(e));
-                    }
-                }
-                // `advance` only yields candidates while a current row is loaded.
-                let Some(left_row) = self.cur.as_ref() else { break };
-                let combined = left_row.concat(&self.right[ri]);
-                let keep = match &self.filter {
-                    Some(f) => match f.eval_predicate(&combined) {
-                        Ok(keep) => keep,
-                        Err(e) => return Some(Err(e)),
-                    },
-                    None => true,
-                };
-                if keep {
-                    self.cur_matched = true;
-                    self.right_matched[ri] = true;
-                    return Some(Ok(combined));
-                }
-            }
-            if let Some(left_row) = self.cur.take() {
-                if !self.cur_matched
-                    && matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter)
-                {
-                    return Some(Ok(left_row.concat(&Tuple::nulls(self.right_arity))));
-                }
-            }
-        }
-        // Drain unmatched build rows for right/full outer joins.
-        if matches!(self.kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-            while self.drain < self.right.len() {
-                let ri = self.drain;
-                self.drain += 1;
-                if !self.right_matched.get(ri).copied().unwrap_or(false) {
-                    return Some(Ok(Tuple::nulls(self.left_arity).concat(&self.right[ri])));
-                }
-            }
-        }
-        None
-    }
-}
-
-/// Build a hash key for a row; `None` when a non-null-safe key column is NULL or NaN (such rows
-/// cannot match under SQL equality — see [`hash_joinable`]).
-pub(crate) fn join_key(
-    row: &Tuple,
-    keys: &[EquiKey],
-    index_of: impl Fn(&EquiKey) -> usize,
-    null_safe: impl Fn(&EquiKey) -> bool,
-) -> Option<Tuple> {
-    let mut values = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = row.get(index_of(k))?.clone();
-        if !hash_joinable(&v, null_safe(k)) {
-            return None;
-        }
-        values.push(v);
-    }
-    Some(Tuple::new(values))
 }
 
 pub(crate) fn dedupe(rows: Vec<Tuple>) -> Vec<Tuple> {
@@ -1124,62 +568,6 @@ impl Accumulator {
     }
 }
 
-/// Hash aggregation, consuming the input stream row by row (grouping state is the only
-/// materialization).
-fn aggregate_stream(
-    input: TupleIter<'_>,
-    group_by: &[CompiledExpr],
-    aggregates: &[CompiledAggregate],
-) -> Result<Vec<Tuple>, ExecError> {
-    // Group keys in first-seen order so results are deterministic.
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut groups: HashMap<Tuple, Vec<Accumulator>> = HashMap::new();
-    let mut saw_rows = false;
-
-    for row in input {
-        let row = row?;
-        saw_rows = true;
-        let mut key_values = Vec::with_capacity(group_by.len());
-        for e in group_by {
-            key_values.push(e.eval(&row)?);
-        }
-        let key = Tuple::new(key_values);
-        let accs = match groups.get_mut(&key) {
-            Some(a) => a,
-            None => {
-                order.push(key.clone());
-                groups.entry(key).or_insert_with(|| {
-                    aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect()
-                })
-            }
-        };
-        for (agg, acc) in aggregates.iter().zip(accs.iter_mut()) {
-            let value = match &agg.arg {
-                Some(e) => Some(e.eval(&row)?),
-                None => None,
-            };
-            acc.update(value)?;
-        }
-    }
-
-    // A global aggregation (no GROUP BY) over an empty input still yields one row.
-    if group_by.is_empty() && !saw_rows {
-        let accs: Vec<Accumulator> = aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect();
-        let values: Vec<Value> = accs.into_iter().map(Accumulator::finish).collect();
-        return Ok(vec![Tuple::new(values)]);
-    }
-
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        // `order` records exactly the keys inserted into `groups`.
-        let Some(accs) = groups.remove(&key) else { continue };
-        let mut values = key.into_values();
-        values.extend(accs.into_iter().map(Accumulator::finish));
-        out.push(Tuple::new(values));
-    }
-    Ok(out)
-}
-
 pub(crate) fn set_operation(
     left: Vec<Tuple>,
     right: Vec<Tuple>,
@@ -1247,51 +635,9 @@ fn counts(rows: Vec<Tuple>) -> HashMap<Tuple, usize> {
     m
 }
 
-/// Sort rows by pre-compiled keys.
-///
-/// Keys are evaluated once per row into *key columns*, the permutation is found with
-/// `sort_unstable_by` over row indices (bag semantics — tie order is unspecified) and applied
-/// by moving rows into place, so no row is ever cloned.
-fn sort_rows(rows: &mut Vec<Tuple>, keys: &[(CompiledExpr, SortOrder)]) -> Result<(), ExecError> {
-    let mut key_cols: Vec<Vec<Value>> = Vec::with_capacity(keys.len());
-    for (e, _) in keys {
-        let mut col = Vec::with_capacity(rows.len());
-        for row in rows.iter() {
-            col.push(e.eval(row)?);
-        }
-        key_cols.push(col);
-    }
-    let mut permutation: Vec<u32> = (0..rows.len() as u32).collect();
-    permutation.sort_unstable_by(|&a, &b| {
-        for (idx, (_, order)) in keys.iter().enumerate() {
-            let ord = key_cols[idx][a as usize].cmp(&key_cols[idx][b as usize]);
-            let ord = match order {
-                SortOrder::Ascending => ord,
-                SortOrder::Descending => ord.reverse(),
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    let mut sorted = Vec::with_capacity(rows.len());
-    for &source in &permutation {
-        sorted.push(std::mem::take(&mut rows[source as usize]));
-    }
-    *rows = sorted;
-    Ok(())
-}
-
 /// Convenience: execute a plan against a catalog with default options.
 pub fn execute_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<Relation, ExecError> {
     Executor::new(catalog.clone()).execute(plan)
-}
-
-/// Build the schema a plan's execution result will carry (re-exported for callers that only need
-/// the schema without running the query).
-pub fn output_schema(plan: &LogicalPlan) -> Schema {
-    plan.schema()
 }
 
 /// Convenience for tests and the benchmark harness: execute with limits.
@@ -1354,8 +700,8 @@ mod tests {
     use super::test_fixtures::paper_example_catalog;
     use super::*;
     use perm_algebra::{
-        tuple, AggregateExpr, AggregateFunction, Attribute, DataType, PlanBuilder, SortKey,
-        SublinkKind,
+        tuple, AggregateExpr, AggregateFunction, Attribute, DataType, JoinKind, PlanBuilder,
+        SortKey, SublinkKind,
     };
 
     fn scan(catalog: &Catalog, table: &str, ref_id: usize) -> PlanBuilder {
@@ -1710,15 +1056,18 @@ mod tests {
     #[test]
     fn scalar_sublink_with_multiple_rows_is_an_error() {
         let catalog = paper_example_catalog();
-        // items has 3 rows: using it as a scalar subquery must fail, not silently take row 1.
-        let sub = scan(&catalog, "items", 1).build();
+        // items has 3 rows: using its id column as a scalar subquery must fail, not silently
+        // take row 1.
+        let sub = scan(&catalog, "items", 1)
+            .project(vec![(ScalarExpr::column(0, "id"), "id".into())])
+            .build();
         let shop = scan(&catalog, "shop", 0);
         let pred = ScalarExpr::column(1, "numempl").eq(sublink(SublinkKind::Scalar, None, sub));
         let plan = shop.filter(pred).build();
         let err = execute_plan(&catalog, &plan).unwrap_err();
         assert!(matches!(err, ExecError::ScalarSubqueryTooManyRows));
         // The reference path agrees.
-        let err = Executor::new(catalog.clone()).execute_reference(&plan).unwrap_err();
+        let err = crate::reference::execute_reference(&catalog, &plan).unwrap_err();
         assert!(matches!(err, ExecError::ScalarSubqueryTooManyRows));
     }
 
@@ -1765,7 +1114,7 @@ mod tests {
     fn exists_sublink_short_circuits() {
         let catalog = paper_example_catalog();
         // EXISTS over a cross join that would exceed the row budget if fully executed: the
-        // streaming compiler pulls a single row, so the budget is never charged.
+        // sublink compiler stops at the first non-empty batch, so the budget is never exceeded.
         let big = scan(&catalog, "sales", 1).cross_join(scan(&catalog, "sales", 2)).build();
         let shop = scan(&catalog, "shop", 0);
         let plan = shop.filter(sublink(SublinkKind::Exists, None, big)).build();
@@ -1827,7 +1176,7 @@ mod tests {
             let plan = t.filter(pred).build();
             let executor = Executor::new(catalog.clone());
             let streaming = executor.execute(&plan).unwrap();
-            let reference = executor.execute_reference(&plan).unwrap();
+            let reference = crate::reference::execute_reference(&catalog, &plan).unwrap();
             assert_eq!(streaming.num_rows(), 0, "negated={negated}: NULL predicate keeps no rows");
             assert!(streaming.bag_eq(&reference), "negated={negated}");
         }
@@ -1849,7 +1198,7 @@ mod tests {
             let plan = t.filter(pred).build();
             let executor = Executor::new(catalog.clone());
             let result = executor.execute(&plan).unwrap();
-            let reference = executor.execute_reference(&plan).unwrap();
+            let reference = crate::reference::execute_reference(&catalog, &plan).unwrap();
             assert_eq!(result.num_rows(), 0, "NaN needle, negated={negated}");
             assert!(result.bag_eq(&reference), "NaN needle, negated={negated}");
         }
@@ -1887,9 +1236,9 @@ mod tests {
         let name = prod.col("shop.name").unwrap();
         let sname = prod.col("sales.sname").unwrap();
         let plan = prod.filter(name.eq(sname)).build();
-        let executor = Executor::new(catalog);
+        let executor = Executor::new(catalog.clone());
         let streaming = executor.execute(&plan).unwrap();
-        let reference = executor.execute_reference(&plan).unwrap();
+        let reference = crate::reference::execute_reference(&catalog, &plan).unwrap();
         assert!(streaming.bag_eq(&reference));
     }
 }

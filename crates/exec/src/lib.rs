@@ -11,16 +11,16 @@
 //! * [`executor`] — a pull-based executor for [`perm_algebra::LogicalPlan`] with compiled
 //!   expressions, hash joins, hash aggregation, outer joins, bag/set operations and a
 //!   short-circuiting `LIMIT`, plus resource limits (row budget, timeout) used by the
-//!   benchmark harness to reproduce the paper's query-timeout behaviour. The primary path is
-//!   the **vectorized** columnar pipeline (operators exchange [`perm_algebra::DataChunk`]
-//!   batches, see the private `vector` module); the tuple-at-a-time pipeline is retained as
-//!   `Executor::execute_streaming` for differential testing and benchmarking.
-//! * [`parallel`] — morsel-driven parallel execution over the vectorized pipeline: a shared
+//!   benchmark harness to reproduce the paper's query-timeout behaviour. It runs the
+//!   **vectorized** columnar pipeline: operators exchange [`perm_algebra::DataChunk`] batches
+//!   (see the private `vector` module), and uncorrelated sublinks run on it too.
+//! * [`parallel`] — morsel-driven parallel execution over the same operators: a shared
 //!   [`WorkerPool`] plus `Executor::execute_parallel`, with partitioned hash joins,
 //!   partitioned parallel aggregation and parallel sort runs (see the module docs for the
-//!   determinism guarantees).
+//!   determinism guarantees). Both pipelines probe joins through one hash-join kernel (the
+//!   private `join` module).
 //! * [`reference`] — a naive, fully materializing evaluator kept as the executable
-//!   specification; property tests assert it agrees with the streaming executor.
+//!   specification; property tests assert both pipelines agree with it.
 //! * [`optimizer`] — predicate pushdown, cross-product→join conversion, constant folding and
 //!   projection pushdown (column pruning), so that both normal and provenance-rewritten queries
 //!   execute with sensible join strategies and narrow intermediate tuples.
@@ -36,6 +36,7 @@ pub mod error;
 pub mod eval;
 pub mod executor;
 pub mod faults;
+mod join;
 pub mod log;
 pub mod optimizer;
 pub mod parallel;

@@ -17,7 +17,9 @@
 //!   then every worker builds the hash table of one key-hash partition; the probe phase runs
 //!   morsel-parallel over the probe side, routing each probe key to its partition. Bucket
 //!   chains preserve build-row order, so each probe row sees candidates in exactly the
-//!   nested-loop order.
+//!   nested-loop order. Table, probe loop and output gather are the vectorized pipeline's own
+//!   join kernel (the private `join` module); with one worker the table is built directly on
+//!   the calling thread.
 //! * **hash aggregation** also partitions by key hash: group-key and argument columns are
 //!   evaluated morsel-parallel, then every worker owns the groups of one partition and folds
 //!   *all* morsels' rows of that partition **in global row order** — each group's accumulator
@@ -39,10 +41,10 @@
 //! Error behaviour is deterministic: a failing region reports the error of the *lowest* morsel
 //! index (the one sequential execution would have hit first), and partitioned aggregation
 //! reports the error of the globally first failing row. The one intentional divergence from
-//! the lazy pipelines: parallel execution may evaluate input a `LIMIT` would have cut off
-//! below a pipeline breaker, so a runtime error hiding in that never-consumed remainder can
-//! surface here while the lazy pipelines return early — the differential suite therefore
-//! compares error behaviour on plans without that shape.
+//! the lazy vectorized pipeline: parallel execution may evaluate input a `LIMIT` would have
+//! cut off below a pipeline breaker, so a runtime error hiding in that never-consumed
+//! remainder can surface here while the lazy pipeline returns early — the differential suite
+//! therefore compares error behaviour on plans without that shape.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -52,22 +54,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use perm_algebra::{
-    Array, DataChunk, JoinKind, LogicalPlan, ScalarExpr, SortOrder, Tuple, Value,
-    DEFAULT_CHUNK_SIZE,
-};
+use perm_algebra::{Array, DataChunk, LogicalPlan, SortOrder, Tuple, Value, DEFAULT_CHUNK_SIZE};
 use perm_storage::Relation;
 
 use crate::compile::{CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
 use crate::executor::{
-    hash_joinable, set_operation, split_equi_join_condition, strip_transparent, Accumulator,
-    EquiKey, ExecContext, Executor,
+    set_operation, strip_transparent, Accumulator, EquiKey, ExecContext, Executor,
 };
-use crate::vector::{chunk_from_columns, project_chunk, JoinFilter};
-
-/// Sentinel terminating a hash-join bucket chain.
-const CHAIN_END: u32 = u32::MAX;
+use crate::join::{build_row_hash, JoinTable, PartitionMap, ProbeState};
+use crate::vector::project_chunk;
 
 // ---------------------------------------------------------------------------
 // Worker pool.
@@ -391,14 +387,6 @@ fn collect_region<T>(
     Ok(out)
 }
 
-/// Deterministic hash used to route keys to partitions (build and probe must agree across
-/// threads and runs; `DefaultHasher::new()` is unkeyed and stable).
-fn stable_hash(key: &impl Hash) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
 // ---------------------------------------------------------------------------
 // The parallel plan walk.
 // ---------------------------------------------------------------------------
@@ -485,7 +473,7 @@ impl Executor {
                     .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
                     .collect::<Result<_, _>>()?;
                 // Fuse a selection below the projection into the same morsel task, mirroring
-                // the scan fusion of the sequential pipelines.
+                // the scan fusion of the vectorized pipeline.
                 let (source, predicate) = match strip_transparent(input) {
                     LogicalPlan::Selection { input: sel_input, predicate } => {
                         let predicate = CompiledExpr::compile(predicate, self, ctx)?;
@@ -503,8 +491,8 @@ impl Executor {
                     Ok(projected)
                 }
             }
-            LogicalPlan::Join { left, right, kind, condition } => {
-                self.par_join(plan, left, right, *kind, condition.as_ref(), ctx, pool, limit)
+            LogicalPlan::Join { left, right, .. } => {
+                self.par_join(plan, left, right, ctx, pool, limit)
             }
             LogicalPlan::Aggregation { input, group_by, aggregates } => {
                 let group_by: Vec<CompiledExpr> = group_by
@@ -581,83 +569,38 @@ impl Executor {
     }
 
     /// Parallel join: recursive build + partitioned hash table + morsel-parallel probe.
-    /// `plan` is the `Join` node itself, used to attribute the build side's buffered bytes.
-    #[allow(clippy::too_many_arguments)]
+    /// `plan` is the `Join` node itself, with inputs `left` and `right`.
     fn par_join(
         &self,
         plan: &LogicalPlan,
         left: &LogicalPlan,
         right: &LogicalPlan,
-        kind: JoinKind,
-        condition: Option<&ScalarExpr>,
         ctx: &ExecContext,
         pool: &WorkerPool,
         limit: Option<usize>,
     ) -> Result<Vec<DataChunk>, ExecError> {
-        let left_arity = left.output_arity();
-        let right_arity = right.output_arity();
         let build_chunks = self.par_chunks(right, ctx, pool, None)?;
-        crate::faults::fire("join-build")?;
-        let build_bytes: usize = build_chunks.iter().map(DataChunk::byte_size).sum();
-        ctx.record_buffered(plan, build_bytes);
-        ctx.reserve_memory(build_bytes)?;
-        let build = Arc::new(DataChunk::concat(right_arity, &build_chunks));
-        let (equi_keys, residual) = match condition {
-            Some(c) => split_equi_join_condition(c, left_arity),
-            None => (Vec::new(), Vec::new()),
-        };
-        let (mode, filter) = if equi_keys.is_empty() {
-            let filter = match condition {
-                Some(c) => Some(JoinFilter::new(
-                    CompiledExpr::compile(c, self, ctx)?,
-                    c,
-                    left_arity,
-                    right_arity,
-                )),
-                None => None,
-            };
-            (ParJoinMode::Loop, filter)
-        } else {
-            let filter = if residual.is_empty() {
-                None
-            } else {
-                let source = ScalarExpr::conjunction(residual.into_iter().cloned().collect());
-                Some(JoinFilter::new(
-                    CompiledExpr::compile(&source, self, ctx)?,
-                    &source,
-                    left_arity,
-                    right_arity,
-                ))
-            };
-            // `EquiKey.right` indexes the combined schema; rebase it onto the build side.
-            let build_keys: Vec<EquiKey> = equi_keys
-                .iter()
-                .map(|k| EquiKey { left: k.left, right: k.right - left_arity, ..*k })
-                .collect();
-            let table = build_partitioned_table(pool, ctx, &build, build_keys)?;
-            (ParJoinMode::Hash(table), filter)
-        };
+        let kernel = Arc::new(self.join_kernel(plan, build_chunks, ctx, |build, keys| {
+            build_partitioned_table(pool, ctx, build, keys)
+        })?);
         let probe_chunks = Arc::new(self.par_chunks(left, ctx, pool, None)?);
-        // Matched-build-row flags, shared across probe workers (right/full outer only).
-        let matched: Option<Arc<Vec<AtomicBool>>> =
-            matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter)
-                .then(|| Arc::new((0..build.num_rows()).map(|_| AtomicBool::new(false)).collect()));
 
         let task_probe = probe_chunks.clone();
-        let task_build = build.clone();
-        let task_mode = mode;
-        let task_matched = matched.clone();
+        let task_kernel = kernel.clone();
         let task_ctx = ctx.clone();
         let slots = pool.run_region(probe_chunks.len(), limit, move |i| {
-            let out = probe_morsel(
-                &task_probe[i],
-                &task_build,
-                &task_mode,
-                filter.as_ref(),
-                kind,
-                task_matched.as_deref().map(|v| &**v),
-                &task_ctx,
-            )?;
+            let probe = &task_probe[i];
+            let mut state = ProbeState::default();
+            let mut out = Vec::new();
+            loop {
+                let full = task_kernel.probe(probe, &mut state, DEFAULT_CHUNK_SIZE, &task_ctx)?;
+                if !state.is_empty() {
+                    out.push(task_kernel.gather(probe, &mut state));
+                }
+                if !full {
+                    break;
+                }
+            }
             let rows = out.iter().map(DataChunk::num_rows).sum();
             Ok((out, rows))
         });
@@ -668,26 +611,12 @@ impl Executor {
 
         // Drain null-padded unmatched build rows — unless a satisfied LIMIT means the lazy
         // pipeline would never have reached the drain phase.
-        if let Some(matched) = matched {
-            let probe_rows: usize = out.iter().map(DataChunk::num_rows).sum();
-            if limit.is_none_or(|needed| probe_rows < needed) {
-                let mut indices: Vec<u32> = Vec::new();
-                for (i, flag) in matched.iter().enumerate() {
-                    if !flag.load(AtomicOrdering::Relaxed) {
-                        indices.push(i as u32);
-                    }
-                }
-                for batch in indices.chunks(DEFAULT_CHUNK_SIZE) {
-                    ctx.check_deadline()?;
-                    let mut columns = Vec::with_capacity(left_arity + right_arity);
-                    for _ in 0..left_arity {
-                        columns.push(Arc::new(Array::Null { len: batch.len() }));
-                    }
-                    for c in 0..right_arity {
-                        columns.push(Arc::new(build.column(c).take(batch)));
-                    }
-                    out.push(chunk_from_columns(columns, batch.len()));
-                }
+        let probe_rows: usize = out.iter().map(DataChunk::num_rows).sum();
+        if limit.is_none_or(|needed| probe_rows < needed) {
+            let mut pos = 0;
+            while let Some(chunk) = kernel.drain(&mut pos, DEFAULT_CHUNK_SIZE) {
+                ctx.check_deadline()?;
+                out.push(chunk);
             }
         }
         Ok(out)
@@ -780,349 +709,56 @@ fn apply_limit(chunks: Vec<DataChunk>, limit: Option<usize>, offset: usize) -> V
 // Partitioned hash join.
 // ---------------------------------------------------------------------------
 
-/// The key → first-build-row maps of one partitioned join table.
-enum ParKeyMaps {
-    Single(Vec<HashMap<Value, u32>>),
-    Multi(Vec<HashMap<Tuple, u32>>),
-}
-
-/// A hash-join table built partition-parallel: build rows are routed to `maps.len()` key-hash
-/// partitions, each built by one worker. `next` chains same-key rows in increasing build-row
-/// order (the nested-loop candidate order), exactly like the sequential pipelines.
-struct ParHashTable {
-    keys: Vec<EquiKey>,
-    maps: ParKeyMaps,
-    next: Vec<u32>,
-    nparts: usize,
-}
-
-enum ParJoinMode {
-    Hash(ParHashTable),
-    Loop,
-}
-
-/// The per-row key hashes of the build side, computed morsel-parallel (`None` = the row cannot
-/// participate in hash matching: a NULL or NaN key under plain `=`). With a single partition
-/// no routing is needed, so only joinability is computed (hash 0).
-fn build_key_hashes(
-    pool: &WorkerPool,
-    ctx: &ExecContext,
-    build: &Arc<DataChunk>,
-    keys: &Arc<Vec<EquiKey>>,
-    nparts: usize,
-) -> Result<Vec<Option<u64>>, ExecError> {
-    let rows = build.num_rows();
-    let morsels = rows.div_ceil(DEFAULT_CHUNK_SIZE);
-    let build = build.clone();
-    let keys = keys.clone();
-    let ctx = ctx.clone();
-    let slots = pool.run_region(morsels, None, move |m| {
-        ctx.check_deadline()?;
-        let start = m * DEFAULT_CHUNK_SIZE;
-        let len = DEFAULT_CHUNK_SIZE.min(build.num_rows() - start);
-        let mut out = Vec::with_capacity(len);
-        for i in start..start + len {
-            out.push(hash_build_row(&build, &keys, i, nparts > 1));
-        }
-        Ok((out, 0))
-    });
-    let parts = collect_region(slots, None, |_| 0)?;
-    Ok(parts.into_iter().flatten().collect())
-}
-
-/// Key hash of build row `i`, or `None` when the row cannot match (NULL/NaN under `=`).
-/// `keys[..].right` must already be rebased onto the build side. With `route` false only
-/// joinability is decided (the hash is never used for routing).
-fn hash_build_row(build: &DataChunk, keys: &[EquiKey], i: usize, route: bool) -> Option<u64> {
-    if keys.len() == 1 {
-        let v = build.column(keys[0].right).value(i);
-        hash_joinable(&v, keys[0].null_safe).then(|| if route { stable_hash(&v) } else { 0 })
-    } else {
-        let mut hasher = DefaultHasher::new();
-        for k in keys {
-            let v = build.column(k.right).value(i);
-            if !hash_joinable(&v, k.null_safe) {
-                return None;
-            }
-            if route {
-                v.hash(&mut hasher);
-            }
-        }
-        Some(hasher.finish())
-    }
-}
-
-/// Build the partitioned hash table: parallel key hashing, then one worker per partition
-/// inserting its rows (in reverse global order, so bucket chains run forward).
+/// Build the partitioned hash table: build-row key hashes morsel-parallel, then one worker per
+/// key-hash partition inserting its rows. With one worker the table is built directly on the
+/// calling thread.
 fn build_partitioned_table(
     pool: &WorkerPool,
     ctx: &ExecContext,
-    build: &Arc<DataChunk>,
+    build: &DataChunk,
     keys: Vec<EquiKey>,
-) -> Result<ParHashTable, ExecError> {
+) -> Result<JoinTable, ExecError> {
     let rows = build.num_rows();
     // The table's bucket heads and chain links cost ~12 bytes per build row on top of the
     // (already reserved) build chunk itself.
     ctx.reserve_memory(rows.saturating_mul(12))?;
-    let keys = Arc::new(keys);
     let nparts = pool.workers();
-    let hashes = Arc::new(build_key_hashes(pool, ctx, build, &keys, nparts)?);
-    let single = keys.len() == 1;
-
-    // Each partition task returns its key map plus the chain links of its rows; links are
-    // merged into the global `next` vector afterwards (disjoint row sets, so no contention).
-    enum PartOut {
-        Single(HashMap<Value, u32>, Vec<(u32, u32)>),
-        Multi(HashMap<Tuple, u32>, Vec<(u32, u32)>),
+    if nparts == 1 {
+        return JoinTable::build(build, keys, ctx);
     }
+    let build = Arc::new(build.clone());
+    let keys = Arc::new(keys);
+
+    let hash_build = build.clone();
+    let hash_keys = keys.clone();
+    let hash_ctx = ctx.clone();
+    let slots = pool.run_region(rows.div_ceil(DEFAULT_CHUNK_SIZE), None, move |m| {
+        hash_ctx.check_deadline()?;
+        let start = m * DEFAULT_CHUNK_SIZE;
+        let end = (start + DEFAULT_CHUNK_SIZE).min(rows);
+        let hashes: Vec<Option<u64>> =
+            (start..end).map(|i| build_row_hash(&hash_build, &hash_keys, i)).collect();
+        Ok((hashes, 0))
+    });
+    let hashes: Arc<Vec<Option<u64>>> =
+        Arc::new(collect_region(slots, None, |_| 0)?.into_iter().flatten().collect());
+
+    // Each partition task returns its key map plus the chain links of its rows (disjoint row
+    // sets, so the links merge without contention).
     let task_build = build.clone();
     let task_keys = keys.clone();
-    let task_hashes = hashes.clone();
     let ctx = ctx.clone();
     let slots = pool.run_region(nparts, None, move |p| {
         ctx.check_deadline()?;
-        let mut links: Vec<(u32, u32)> = Vec::new();
-        let mut since_check = 0usize;
-        if single {
-            let key = task_keys[0];
-            let col = task_build.column(key.right);
-            let mut map: HashMap<Value, u32> = HashMap::new();
-            for i in (0..task_hashes.len()).rev() {
-                since_check += 1;
-                if since_check & 0xFFF == 0 {
-                    ctx.check_deadline()?;
-                }
-                let Some(h) = task_hashes[i] else { continue };
-                if nparts > 1 && h as usize % nparts != p {
-                    continue;
-                }
-                if let Some(prev) = map.insert(col.value(i), i as u32) {
-                    links.push((i as u32, prev));
-                }
-            }
-            Ok((PartOut::Single(map, links), 0))
-        } else {
-            let mut map: HashMap<Tuple, u32> = HashMap::new();
-            for i in (0..task_hashes.len()).rev() {
-                since_check += 1;
-                if since_check & 0xFFF == 0 {
-                    ctx.check_deadline()?;
-                }
-                let Some(h) = task_hashes[i] else { continue };
-                if nparts > 1 && h as usize % nparts != p {
-                    continue;
-                }
-                let values: Vec<Value> =
-                    task_keys.iter().map(|k| task_build.column(k.right).value(i)).collect();
-                if let Some(prev) = map.insert(Tuple::new(values), i as u32) {
-                    links.push((i as u32, prev));
-                }
-            }
-            Ok((PartOut::Multi(map, links), 0))
-        }
+        let mut links = Vec::new();
+        let admit = |i: usize| hashes[i].is_some_and(|h| h as usize % nparts == p);
+        let link = |i, prev| links.push((i, prev));
+        let expected = rows.div_ceil(nparts);
+        let map = PartitionMap::build(&task_build, &task_keys, expected, admit, link, &ctx)?;
+        Ok(((map, links), 0))
     });
     let parts = collect_region(slots, None, |_| 0)?;
-
-    let mut next = vec![CHAIN_END; rows];
-    let mut singles = Vec::new();
-    let mut multis = Vec::new();
-    for part in parts {
-        match part {
-            PartOut::Single(map, links) => {
-                for (i, prev) in links {
-                    next[i as usize] = prev;
-                }
-                singles.push(map);
-            }
-            PartOut::Multi(map, links) => {
-                for (i, prev) in links {
-                    next[i as usize] = prev;
-                }
-                multis.push(map);
-            }
-        }
-    }
-    let maps = if single { ParKeyMaps::Single(singles) } else { ParKeyMaps::Multi(multis) };
-    Ok(ParHashTable { keys: (*keys).clone(), maps, next, nparts })
-}
-
-impl ParHashTable {
-    /// The bucket-chain start for probe row `row`, or [`CHAIN_END`] when it cannot match.
-    fn chain_start(&self, probe: &DataChunk, row: usize) -> u32 {
-        match &self.maps {
-            ParKeyMaps::Single(parts) => {
-                let key = self.keys[0];
-                let v = probe.column(key.left).value(row);
-                if !hash_joinable(&v, key.null_safe) {
-                    return CHAIN_END;
-                }
-                let p = if self.nparts > 1 { stable_hash(&v) as usize % self.nparts } else { 0 };
-                parts[p].get(&v).copied().unwrap_or(CHAIN_END)
-            }
-            ParKeyMaps::Multi(parts) => {
-                let mut values = Vec::with_capacity(self.keys.len());
-                let mut hasher = DefaultHasher::new();
-                for k in &self.keys {
-                    let v = probe.column(k.left).value(row);
-                    if !hash_joinable(&v, k.null_safe) {
-                        return CHAIN_END;
-                    }
-                    v.hash(&mut hasher);
-                    values.push(v);
-                }
-                let p = if self.nparts > 1 { hasher.finish() as usize % self.nparts } else { 0 };
-                parts[p].get(&Tuple::new(values)).copied().unwrap_or(CHAIN_END)
-            }
-        }
-    }
-}
-
-/// Probe one morsel (one probe chunk) against the shared build side, emitting gathered output
-/// batches. Candidate order per probe row is build-row order, so the output row sequence
-/// equals the sequential pipelines'.
-fn probe_morsel(
-    probe: &DataChunk,
-    build: &DataChunk,
-    mode: &ParJoinMode,
-    filter: Option<&JoinFilter>,
-    kind: JoinKind,
-    matched: Option<&[AtomicBool]>,
-    ctx: &ExecContext,
-) -> Result<Vec<DataChunk>, ExecError> {
-    let left_arity = probe.num_columns();
-    let right_arity = build.num_columns();
-    let mut out = Vec::new();
-    let mut left_idx: Vec<u32> = Vec::new();
-    let mut right_idx: Vec<u32> = Vec::new();
-    let mut pads = 0usize;
-    let mut evals = 0usize;
-
-    let flush = |left_idx: &mut Vec<u32>,
-                 right_idx: &mut Vec<u32>,
-                 pads: &mut usize,
-                 out: &mut Vec<DataChunk>| {
-        if left_idx.is_empty() {
-            return;
-        }
-        let rows = left_idx.len();
-        let mut columns = Vec::with_capacity(left_arity + right_arity);
-        for c in 0..left_arity {
-            columns.push(Arc::new(probe.column(c).take(left_idx)));
-        }
-        if *pads == 0 {
-            // Factorized gather: wide build columns become dict views (see `gather_build`).
-            for c in 0..right_arity {
-                columns.push(Arc::new(crate::vector::gather_build(build.column(c), right_idx)));
-            }
-        } else {
-            let opt: Vec<Option<u32>> =
-                right_idx.iter().map(|&i| (i != u32::MAX).then_some(i)).collect();
-            for c in 0..right_arity {
-                columns.push(Arc::new(build.column(c).take_opt(&opt)));
-            }
-        }
-        left_idx.clear();
-        right_idx.clear();
-        *pads = 0;
-        out.push(chunk_from_columns(columns, rows));
-    };
-
-    let mut chain: Vec<u32> = Vec::new();
-    for row in 0..probe.num_rows() {
-        // Loop mode with a filter and long filtered hash chains evaluate the condition
-        // vectorized for the whole probe row (see `JoinFilter`); short chains stay lazy.
-        let mut cursor: ProbeCursor = match (mode, filter) {
-            (ParJoinMode::Loop, Some(f)) => {
-                ctx.check_deadline()?;
-                ProbeCursor::Matches(f.matches_vectorized(probe, row, build, None)?.into_iter())
-            }
-            (ParJoinMode::Hash(table), Some(f)) => {
-                let start = table.chain_start(probe, row);
-                chain.clear();
-                let mut pos = start;
-                while pos != CHAIN_END {
-                    chain.push(pos);
-                    pos = table.next[pos as usize];
-                }
-                if chain.len() >= crate::vector::VECTORIZED_FILTER_THRESHOLD {
-                    ctx.check_deadline()?;
-                    ProbeCursor::Matches(
-                        f.matches_vectorized(probe, row, build, Some(&chain))?.into_iter(),
-                    )
-                } else {
-                    ProbeCursor::Chain(start)
-                }
-            }
-            (ParJoinMode::Hash(table), None) => ProbeCursor::Chain(table.chain_start(probe, row)),
-            (ParJoinMode::Loop, None) => ProbeCursor::Index(0),
-        };
-        let prefiltered = matches!(cursor, ProbeCursor::Matches(_));
-        let mut row_matched = false;
-        loop {
-            let candidate = match &mut cursor {
-                ProbeCursor::Chain(pos) => {
-                    if *pos == CHAIN_END {
-                        break;
-                    }
-                    let i = *pos as usize;
-                    let ParJoinMode::Hash(table) = mode else {
-                        unreachable!("chain cursor implies hash mode");
-                    };
-                    *pos = table.next[i];
-                    i
-                }
-                ProbeCursor::Index(pos) => {
-                    if *pos >= build.num_rows() {
-                        break;
-                    }
-                    let i = *pos;
-                    *pos += 1;
-                    i
-                }
-                ProbeCursor::Matches(matches) => match matches.next() {
-                    Some(i) => i as usize,
-                    None => break,
-                },
-            };
-            evals += 1;
-            if evals & 0x3FF == 0 {
-                ctx.check_deadline()?;
-            }
-            let keep = match filter {
-                Some(f) if !prefiltered => f.matches_pair(probe, row, build, candidate)?,
-                _ => true,
-            };
-            if keep {
-                row_matched = true;
-                if let Some(flags) = matched {
-                    flags[candidate].store(true, AtomicOrdering::Relaxed);
-                }
-                left_idx.push(row as u32);
-                right_idx.push(candidate as u32);
-                if left_idx.len() >= DEFAULT_CHUNK_SIZE {
-                    flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
-                }
-            }
-        }
-        if !row_matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-            left_idx.push(row as u32);
-            right_idx.push(u32::MAX);
-            pads += 1;
-            if left_idx.len() >= DEFAULT_CHUNK_SIZE {
-                flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
-            }
-        }
-    }
-    flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
-    Ok(out)
-}
-
-/// Probe-side position within one probe row's candidates.
-enum ProbeCursor {
-    Chain(u32),
-    Index(usize),
-    /// Pre-filtered matches: build rows that already passed the vectorized join filter.
-    Matches(std::vec::IntoIter<u32>),
+    Ok(JoinTable::from_partitions(keys.as_ref().clone(), rows, parts))
 }
 
 // ---------------------------------------------------------------------------
@@ -1386,8 +1022,8 @@ mod tests {
     use crate::executor::test_fixtures::paper_example_catalog;
     use crate::executor::ExecOptions;
     use perm_algebra::{
-        tuple, AggregateExpr, AggregateFunction, DataType, PlanBuilder, Schema, SetOpKind,
-        SetSemantics, SortKey,
+        tuple, AggregateExpr, AggregateFunction, DataType, JoinKind, PlanBuilder, ScalarExpr,
+        Schema, SetOpKind, SetSemantics, SortKey,
     };
     use perm_storage::Catalog;
 
@@ -1525,7 +1161,6 @@ mod tests {
         let pool = WorkerPool::new(4);
         let expected = ExecError::ArithmeticOverflow { operation: "addition".into() };
         assert_eq!(executor.execute(&plan).unwrap_err(), expected);
-        assert_eq!(executor.execute_streaming(&plan).unwrap_err(), expected);
         assert_eq!(executor.execute_parallel(&plan, &pool).unwrap_err(), expected);
     }
 

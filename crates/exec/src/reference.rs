@@ -275,7 +275,7 @@ fn resolve_sublinks(catalog: &Catalog, expr: &ScalarExpr) -> Result<ScalarExpr, 
         let ScalarExpr::Sublink { kind, operand, negated, plan } = &e else {
             return e;
         };
-        match run(catalog, plan) {
+        match crate::compile::check_sublink_width(*kind, plan).and_then(|()| run(catalog, plan)) {
             Ok(rows) => match kind {
                 SublinkKind::Exists => {
                     ScalarExpr::Literal(Value::Bool(rows.is_empty() == *negated))

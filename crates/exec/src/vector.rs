@@ -19,34 +19,34 @@
 //!
 //! Scalar expressions are evaluated by [`CompiledExpr::eval_array`]: typed kernels over native
 //! value slices for comparisons and arithmetic on Int/Float/Date/Text columns, selective
-//! (mask-directed) evaluation for `AND`/`OR` so short-circuit error semantics match the row
-//! pipeline, and a per-row fallback for the long tail (`CASE`, functions, casts). Row budgets
-//! and timeouts are enforced per batch at the same row counts as tuple-at-a-time execution;
-//! when a budget is smaller than the default chunk size, batches shrink to the budget so
-//! overruns are detected at identical points.
+//! (mask-directed) evaluation for `AND`/`OR` so short-circuit error semantics match per-row
+//! evaluation, and a per-row fallback for the long tail (`CASE`, functions, casts). Row budgets
+//! and timeouts are enforced per batch; when a budget is smaller than the default chunk size,
+//! batches shrink to the budget, so an operator fails as soon as it has produced one row more
+//! than the budget allows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use perm_algebra::{
-    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, JoinKind, LogicalPlan, ScalarExpr,
-    Schema, SortOrder, Tuple, UnaryOperator, Value, DEFAULT_CHUNK_SIZE,
+    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, LogicalPlan, Schema, SortOrder, Tuple,
+    UnaryOperator, Value, DEFAULT_CHUNK_SIZE,
 };
 
 use crate::compile::{in_set_lookup, in_values, CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
 use crate::eval::{binary_op_values, evaluate_function, logical_combine, unary_op_value};
 use crate::executor::{
-    hash_joinable, set_operation, split_equi_join_condition, strip_transparent, Accumulator,
-    EquiKey, ExecContext, Executor, ProfileHandle, RowGuard,
+    set_operation, strip_transparent, Accumulator, ExecContext, Executor, ProfileHandle, RowGuard,
 };
+use crate::join::{JoinKernel, JoinTable, ProbeState};
 
 /// The batch stream flowing between vectorized operators.
 pub(crate) type ChunkIter<'a> = Box<dyn Iterator<Item = Result<DataChunk, ExecError>> + 'a>;
 
 /// The batch size of this execution: the default chunk size, shrunk to the row budget (if any)
-/// so that budget overruns surface at the same row counts as in tuple-at-a-time execution.
+/// so that a budget overrun surfaces at the first row past the budget.
 fn chunk_capacity(ctx: &ExecContext) -> usize {
     ctx.row_budget().map_or(DEFAULT_CHUNK_SIZE, |b| b.clamp(1, DEFAULT_CHUNK_SIZE))
 }
@@ -156,8 +156,8 @@ impl Executor {
                     .iter()
                     .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
                     .collect::<Result<_, _>>()?;
-                // Fuse projection (and an optional selection) over a base relation, mirroring
-                // the row pipeline's scan fusion.
+                // Fuse projection (and an optional selection) over a base relation: expressions
+                // read the stored columns, so only the projected columns are ever built.
                 let fused: Option<ChunkIter<'a>> = match strip_transparent(input) {
                     LogicalPlan::BaseRelation { name, schema, .. } => Some(Box::new(
                         self.chunk_scan(name, schema, None, Some(exprs.clone()), ctx)?,
@@ -203,68 +203,21 @@ impl Executor {
                     mapped
                 }
             }
-            LogicalPlan::Join { left, right, kind, condition } => {
-                let left_arity = left.output_arity();
-                let right_arity = right.output_arity();
-                // The build side materializes (pipeline breaker) and is flattened column-wise;
-                // the probe side streams chunk by chunk.
+            LogicalPlan::Join { left, right, .. } => {
+                // The build side materializes (pipeline breaker) into a one-partition table
+                // built on this thread; the probe side streams chunk by chunk.
                 let build_chunks: Vec<DataChunk> =
                     self.stream_chunks(right, ctx)?.collect::<Result<_, _>>()?;
-                crate::faults::fire("join-build")?;
-                let build_bytes: usize = build_chunks.iter().map(DataChunk::byte_size).sum();
-                ctx.record_buffered(plan, build_bytes);
-                ctx.reserve_memory(build_bytes)?;
-                let build = DataChunk::concat(right_arity, &build_chunks);
-                let (equi_keys, residual) = match condition {
-                    Some(c) => split_equi_join_condition(c, left_arity),
-                    None => (Vec::new(), Vec::new()),
-                };
-                let (mode, filter) = if equi_keys.is_empty() {
-                    let filter = match condition {
-                        Some(c) => Some(JoinFilter::new(
-                            CompiledExpr::compile(c, self, ctx)?,
-                            c,
-                            left_arity,
-                            right_arity,
-                        )),
-                        None => None,
-                    };
-                    (ChunkJoinMode::Loop, filter)
-                } else {
-                    let filter = if residual.is_empty() {
-                        None
-                    } else {
-                        let source =
-                            ScalarExpr::conjunction(residual.into_iter().cloned().collect());
-                        Some(JoinFilter::new(
-                            CompiledExpr::compile(&source, self, ctx)?,
-                            &source,
-                            left_arity,
-                            right_arity,
-                        ))
-                    };
-                    (ChunkJoinMode::hash(&build, equi_keys, left_arity), filter)
-                };
-                let build_rows = build.num_rows();
+                let kernel = self.join_kernel(plan, build_chunks, ctx, |build, keys| {
+                    JoinTable::build(build, keys, ctx)
+                })?;
                 Box::new(ChunkJoinIter {
                     left: self.stream_chunks(left, ctx)?,
-                    build,
-                    kind: *kind,
-                    left_arity,
-                    right_arity,
-                    mode,
-                    filter,
-                    build_matched: vec![false; build_rows],
+                    kernel,
                     probe: None,
-                    probe_row: 0,
-                    row_matched: false,
-                    cursor: Cursor::Index(0),
-                    left_idx: Vec::new(),
-                    right_idx: Vec::new(),
-                    pads: 0,
-                    drain: 0,
+                    state: ProbeState::default(),
                     probing: true,
-                    evals: 0,
+                    drain: 0,
                     capacity: chunk_capacity(ctx),
                     guard: RowGuard::new(ctx),
                     ctx: ctx.clone(),
@@ -359,7 +312,7 @@ impl Executor {
 
     /// A (possibly filtered / projected) chunked scan over the cached columnar view of a base
     /// relation. Emitting an unfiltered chunk is an `Arc` bump per column; the row guard ticks
-    /// per *scanned* row, exactly like the row pipeline's scan.
+    /// per *scanned* row, so a fused selection or projection does not change budget counts.
     fn chunk_scan(
         &self,
         name: &str,
@@ -521,373 +474,56 @@ impl Iterator for ChunkDistinctIter<'_> {
     }
 }
 
-/// Sentinel terminating a hash-join bucket chain.
-const CHAIN_END: u32 = u32::MAX;
-
-/// Candidate count at which a join filter switches from per-pair tuple evaluation to the
-/// vectorized path: below this the per-call chunk assembly costs more than it saves.
-pub(crate) const VECTORIZED_FILTER_THRESHOLD: usize = 8;
-
-/// A compiled join condition (loop-mode full condition or hash-mode residual) plus the
-/// combined-schema columns it actually reads, split by side.
-///
-/// Provenance rewrites push joins whose inputs carry dozens of duplicated payload columns;
-/// deciding a match must not materialize those payloads. Both evaluation strategies below touch
-/// only the columns the condition references: the vectorized path broadcasts the probe row's
-/// used values and gathers the used build columns into a narrow chunk (everything else is a
-/// NULL placeholder column that is never read), the per-pair path boxes used cells into a
-/// sparse tuple.
-pub(crate) struct JoinFilter {
-    expr: CompiledExpr,
-    /// Probe-side columns the condition reads.
-    probe_cols: Vec<usize>,
-    /// Build-side columns the condition reads, rebased onto the build chunk.
-    build_cols: Vec<usize>,
-    left_arity: usize,
-    right_arity: usize,
-}
-
-impl JoinFilter {
-    /// `source` is the uncompiled condition `expr` came from (used for column analysis); a
-    /// sublink-bearing condition may read columns invisible to `columns_used`, so it
-    /// conservatively reads everything.
-    pub(crate) fn new(
-        expr: CompiledExpr,
-        source: &ScalarExpr,
-        left_arity: usize,
-        right_arity: usize,
-    ) -> JoinFilter {
-        let used: Vec<usize> = if source.has_sublink() {
-            (0..left_arity + right_arity).collect()
-        } else {
-            source.columns_used()
-        };
-        let probe_cols: Vec<usize> = used.iter().copied().filter(|&c| c < left_arity).collect();
-        let build_cols: Vec<usize> =
-            used.iter().filter(|&&c| c >= left_arity).map(|&c| c - left_arity).collect();
-        JoinFilter { expr, probe_cols, build_cols, left_arity, right_arity }
-    }
-
-    /// Evaluate the condition for probe row `row` against `candidates` build rows (`None` =
-    /// the whole build side) in one vectorized pass; returns the matching build-row indices in
-    /// candidate order. Error semantics match per-pair evaluation: kernels run in row order,
-    /// so the first failing candidate raises.
-    pub(crate) fn matches_vectorized(
-        &self,
-        probe: &DataChunk,
-        row: usize,
-        build: &DataChunk,
-        candidates: Option<&[u32]>,
-    ) -> Result<Vec<u32>, ExecError> {
-        let rows = candidates.map_or(build.num_rows(), <[u32]>::len);
-        if rows == 0 {
-            return Ok(Vec::new());
-        }
-        let mut columns: Vec<Arc<Array>> = Vec::with_capacity(self.left_arity + self.right_arity);
-        let mut probe_used = self.probe_cols.iter().peekable();
-        for c in 0..self.left_arity {
-            if probe_used.next_if(|&&u| u == c).is_some() {
-                columns.push(Arc::new(Array::repeat(&probe.column(c).value(row), rows)));
-            } else {
-                columns.push(Arc::new(Array::Null { len: rows }));
-            }
-        }
-        let mut build_used = self.build_cols.iter().peekable();
-        for c in 0..self.right_arity {
-            if build_used.next_if(|&&u| u == c).is_some() {
-                match candidates {
-                    Some(idx) => columns.push(Arc::new(gather_build(build.column(c), idx))),
-                    None => columns.push(build.column(c).clone()),
-                }
-            } else {
-                columns.push(Arc::new(Array::Null { len: rows }));
-            }
-        }
-        let mask = self.expr.eval_mask(&chunk_from_columns(columns, rows))?;
-        Ok(mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(i, _)| candidates.map_or(i as u32, |idx| idx[i]))
-            .collect())
-    }
-
-    /// Evaluate one (probe row, build row) pair through a sparse tuple: only used cells are
-    /// boxed, the rest stay NULL. Used for short hash chains where vectorization doesn't pay.
-    pub(crate) fn matches_pair(
-        &self,
-        probe: &DataChunk,
-        row: usize,
-        build: &DataChunk,
-        candidate: usize,
-    ) -> Result<bool, ExecError> {
-        let mut values = vec![Value::Null; self.left_arity + self.right_arity];
-        for &c in &self.probe_cols {
-            values[c] = probe.column(c).value(row);
-        }
-        for &c in &self.build_cols {
-            values[self.left_arity + c] = build.column(c).value(candidate);
-        }
-        self.expr.eval_predicate(&Tuple::new(values))
-    }
-}
-
-/// The probe strategy of a vectorized join: hash buckets over the flattened build-side key
-/// columns, or plain nested loops.
-enum ChunkJoinMode {
-    /// Hash join; chains run in increasing build-row order so output order matches the
-    /// nested-loop order.
-    Hash {
-        keys: Vec<EquiKey>,
-        single: Option<HashMap<Value, u32>>,
-        multi: Option<HashMap<Tuple, u32>>,
-        next: Vec<u32>,
-    },
-    /// Nested loop over the whole build side.
-    Loop,
-}
-
-impl ChunkJoinMode {
-    /// Build the hash table directly on the build side's key column slices.
-    fn hash(build: &DataChunk, keys: Vec<EquiKey>, left_arity: usize) -> ChunkJoinMode {
-        let rows = build.num_rows();
-        let mut next = vec![CHAIN_END; rows];
-        // Build in reverse so each bucket chain runs in increasing row order.
-        if keys.len() == 1 {
-            let key = keys[0];
-            let col = build.column(key.right - left_arity).clone();
-            let mut single: HashMap<Value, u32> = HashMap::with_capacity(rows);
-            for i in (0..rows).rev() {
-                let v = col.value(i);
-                if !hash_joinable(&v, key.null_safe) {
-                    continue;
-                }
-                if let Some(prev) = single.insert(v, i as u32) {
-                    next[i] = prev;
-                }
-            }
-            ChunkJoinMode::Hash { keys, single: Some(single), multi: None, next }
-        } else {
-            let cols: Vec<Arc<Array>> =
-                keys.iter().map(|k| build.column(k.right - left_arity).clone()).collect();
-            let mut multi: HashMap<Tuple, u32> = HashMap::with_capacity(rows);
-            'rows: for i in (0..rows).rev() {
-                let mut values = Vec::with_capacity(keys.len());
-                for (k, col) in keys.iter().zip(&cols) {
-                    let v = col.value(i);
-                    if !hash_joinable(&v, k.null_safe) {
-                        continue 'rows;
-                    }
-                    values.push(v);
-                }
-                if let Some(prev) = multi.insert(Tuple::new(values), i as u32) {
-                    next[i] = prev;
-                }
-            }
-            ChunkJoinMode::Hash { keys, single: None, multi: Some(multi), next }
-        }
-    }
-
-    /// The bucket-chain start (hash) or full-scan start (loop) for probe row `row` of `probe`.
-    fn cursor_for(&self, probe: &DataChunk, row: usize) -> Cursor {
-        match self {
-            ChunkJoinMode::Loop => Cursor::Index(0),
-            ChunkJoinMode::Hash { keys, single, multi, .. } => {
-                if let Some(single) = single {
-                    let key = keys[0];
-                    let v = probe.column(key.left).value(row);
-                    let start = if hash_joinable(&v, key.null_safe) {
-                        single.get(&v).copied().unwrap_or(CHAIN_END)
-                    } else {
-                        CHAIN_END
-                    };
-                    Cursor::Chain(start)
-                } else {
-                    // A hash mode without a single-key table always carries the multi-key
-                    // table; an absent table probes as "no match".
-                    let Some(multi) = multi.as_ref() else { return Cursor::Chain(CHAIN_END) };
-                    let mut values = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        let v = probe.column(k.left).value(row);
-                        if !hash_joinable(&v, k.null_safe) {
-                            return Cursor::Chain(CHAIN_END);
-                        }
-                        values.push(v);
-                    }
-                    let start = multi.get(&Tuple::new(values)).copied().unwrap_or(CHAIN_END);
-                    Cursor::Chain(start)
-                }
-            }
-        }
-    }
-}
-
-/// Probe-side position within the current probe row's candidates.
-enum Cursor {
-    /// Hash mode: next build-row index in the bucket chain ([`CHAIN_END`] = exhausted).
-    Chain(u32),
-    /// Loop mode: next build-row index.
-    Index(usize),
-    /// Pre-filtered matches: build rows that already passed the vectorized join filter.
-    Matches(std::vec::IntoIter<u32>),
-}
-
-/// Vectorized join: the probe side streams chunk-wise, the build side is flattened column-wise.
-/// Matching (probe row, build row) index pairs accumulate until a full output batch can be
-/// gathered; the iterator suspends mid-probe-row when a batch fills, so downstream `LIMIT`s
-/// stop it after at most one extra batch of work.
+/// Vectorized join: the probe side streams chunk-wise against the shared [`JoinKernel`]. Each
+/// pull probes until a full output batch is buffered and gathers it; the kernel suspends
+/// mid-probe-row when a batch fills, so downstream `LIMIT`s stop it after at most one extra
+/// batch of work.
 struct ChunkJoinIter<'a> {
     left: ChunkIter<'a>,
-    build: DataChunk,
-    kind: JoinKind,
-    left_arity: usize,
-    right_arity: usize,
-    mode: ChunkJoinMode,
-    /// Residual predicate (hash mode) or the full join condition (loop mode).
-    filter: Option<JoinFilter>,
-    build_matched: Vec<bool>,
-    /// Current probe chunk and scan position within it.
+    kernel: JoinKernel,
+    /// Current probe chunk and the kernel's position within it.
     probe: Option<DataChunk>,
-    probe_row: usize,
-    row_matched: bool,
-    cursor: Cursor,
-    /// Accumulated output pairs: indices into `probe` / `build` (`u32::MAX` = NULL padding).
-    left_idx: Vec<u32>,
-    right_idx: Vec<u32>,
-    /// Number of NULL-padding sentinels currently in `right_idx`.
-    pads: usize,
-    drain: usize,
+    state: ProbeState,
+    /// Whether probe chunks remain to be pulled.
     probing: bool,
-    /// Candidate evaluations since the last deadline check (a selective join can do unbounded
-    /// work without producing rows, so the timeout is checked against work done).
-    evals: usize,
+    /// Next build row to inspect when draining unmatched build rows (right/full outer joins).
+    drain: usize,
     capacity: usize,
     guard: RowGuard,
     ctx: ExecContext,
 }
 
-impl<'a> ChunkJoinIter<'a> {
-    /// The next candidate build-row index for the current probe row.
-    fn advance(&mut self) -> Option<usize> {
-        match &mut self.cursor {
-            Cursor::Chain(pos) => {
-                if *pos == CHAIN_END {
-                    return None;
-                }
-                let i = *pos as usize;
-                let ChunkJoinMode::Hash { next, .. } = &self.mode else {
-                    unreachable!("chain cursor implies hash mode");
+impl ChunkJoinIter<'_> {
+    fn next_batch(&mut self) -> Result<Option<DataChunk>, ExecError> {
+        while self.probing {
+            let Some(probe) = &self.probe else {
+                let Some(chunk) = self.left.next().transpose()? else {
+                    self.probing = false;
+                    break;
                 };
-                *pos = next[i];
-                Some(i)
-            }
-            Cursor::Index(pos) => {
-                if *pos >= self.build.num_rows() {
-                    return None;
+                if !chunk.is_empty() {
+                    crate::faults::fire("join-probe")?;
+                    self.probe = Some(chunk);
                 }
-                let i = *pos;
-                *pos += 1;
-                Some(i)
+                continue;
+            };
+            let full = self.kernel.probe(probe, &mut self.state, self.capacity, &self.ctx)?;
+            // An exhausted probe chunk flushes its partial batch (whose indices point into
+            // this chunk) before the next one is pulled.
+            let out = (!self.state.is_empty()).then(|| self.kernel.gather(probe, &mut self.state));
+            if !full {
+                self.probe = None;
             }
-            Cursor::Matches(matches) => matches.next().map(|i| i as usize),
-        }
-    }
-
-    /// Position the cursor at probe row `row`'s candidates. Loop mode with a filter and long
-    /// filtered hash chains evaluate the condition vectorized up front (the cursor then walks
-    /// the precomputed matches); short chains keep the lazy per-candidate cursor.
-    fn start_row(&mut self, probe: &DataChunk, row: usize) -> Result<(), ExecError> {
-        if let Some(f) = &self.filter {
-            match &self.mode {
-                ChunkJoinMode::Loop => {
-                    self.ctx.check_deadline()?;
-                    self.cursor = Cursor::Matches(
-                        f.matches_vectorized(probe, row, &self.build, None)?.into_iter(),
-                    );
-                    return Ok(());
-                }
-                ChunkJoinMode::Hash { next, .. } => {
-                    let Cursor::Chain(start) = self.mode.cursor_for(probe, row) else {
-                        unreachable!("hash mode yields chain cursors");
-                    };
-                    let mut chain: Vec<u32> = Vec::new();
-                    let mut pos = start;
-                    while pos != CHAIN_END {
-                        chain.push(pos);
-                        pos = next[pos as usize];
-                    }
-                    if chain.len() >= VECTORIZED_FILTER_THRESHOLD {
-                        self.ctx.check_deadline()?;
-                        self.cursor = Cursor::Matches(
-                            f.matches_vectorized(probe, row, &self.build, Some(&chain))?
-                                .into_iter(),
-                        );
-                    } else {
-                        self.cursor = Cursor::Chain(start);
-                    }
-                    return Ok(());
-                }
+            if let Some(chunk) = out {
+                self.guard.tick_many(chunk.num_rows())?;
+                return Ok(Some(chunk));
             }
         }
-        self.cursor = self.mode.cursor_for(probe, row);
-        Ok(())
-    }
-
-    /// Gather the accumulated index pairs into an output chunk and charge the row guard.
-    fn emit(&mut self) -> Result<DataChunk, ExecError> {
-        let probe = self.probe.as_ref().ok_or_else(|| {
-            ExecError::Internal("hash join emitted output outside a probe chunk".into())
-        })?;
-        let rows = self.left_idx.len();
-        self.guard.tick_many(rows)?;
-        let mut columns = Vec::with_capacity(self.left_arity + self.right_arity);
-        for c in 0..self.left_arity {
-            columns.push(Arc::new(probe.column(c).take(&self.left_idx)));
+        let drained = self.kernel.drain(&mut self.drain, self.capacity);
+        if let Some(chunk) = &drained {
+            self.guard.tick_many(chunk.num_rows())?;
         }
-        if self.pads == 0 {
-            // Pure-match batch (every inner join): gather the build columns, factorizing the
-            // wide ones into dictionary views instead of materializing duplicates.
-            for c in 0..self.right_arity {
-                columns.push(Arc::new(gather_build(self.build.column(c), &self.right_idx)));
-            }
-        } else {
-            let opt: Vec<Option<u32>> =
-                self.right_idx.iter().map(|&i| (i != u32::MAX).then_some(i)).collect();
-            for c in 0..self.right_arity {
-                columns.push(Arc::new(self.build.column(c).take_opt(&opt)));
-            }
-        }
-        self.left_idx.clear();
-        self.right_idx.clear();
-        self.pads = 0;
-        Ok(chunk_from_columns(columns, rows))
-    }
-
-    /// Null-padded unmatched build rows for right/full outer joins, in build order.
-    fn emit_drained(&mut self, indices: &[u32]) -> Result<DataChunk, ExecError> {
-        self.guard.tick_many(indices.len())?;
-        let mut columns = Vec::with_capacity(self.left_arity + self.right_arity);
-        for _ in 0..self.left_arity {
-            columns.push(Arc::new(Array::Null { len: indices.len() }));
-        }
-        for c in 0..self.right_arity {
-            columns.push(Arc::new(self.build.column(c).take(indices)));
-        }
-        Ok(chunk_from_columns(columns, indices.len()))
-    }
-}
-
-/// Build-side join gather. Provenance rewrites duplicate whole source tuples through joins, so
-/// columns whose copies are expensive (text, boxed values) — or that are already dictionary
-/// views from an upstream join — become [`Array::Dict`] views sharing the build column as the
-/// dictionary: per output row only a 4-byte index is written. Cheap native columns gather
-/// plainly; a view would only add a resolution hop to every downstream read.
-pub(crate) fn gather_build(col: &Arc<Array>, indices: &[u32]) -> Array {
-    match col.as_ref() {
-        Array::Text { .. } | Array::Any { .. } | Array::Dict { .. } | Array::RunLength { .. } => {
-            col.take_dict(indices)
-        }
-        _ => col.take(indices),
+        Ok(drained)
     }
 }
 
@@ -895,104 +531,7 @@ impl Iterator for ChunkJoinIter<'_> {
     type Item = Result<DataChunk, ExecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.probing {
-            let Some(probe) = self.probe.as_ref() else {
-                match self.left.next() {
-                    None => {
-                        self.probing = false;
-                        break;
-                    }
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(chunk)) => {
-                        if chunk.is_empty() {
-                            continue;
-                        }
-                        if let Err(e) = crate::faults::fire("join-probe") {
-                            return Some(Err(e));
-                        }
-                        if let Err(e) = self.start_row(&chunk, 0) {
-                            return Some(Err(e));
-                        }
-                        self.row_matched = false;
-                        self.probe_row = 0;
-                        self.probe = Some(chunk);
-                        continue;
-                    }
-                }
-            };
-            let probe = probe.clone();
-            while self.probe_row < probe.num_rows() {
-                let i = self.probe_row;
-                while let Some(ri) = self.advance() {
-                    self.evals += 1;
-                    if self.evals & 0x3FF == 0 {
-                        if let Err(e) = self.ctx.check_deadline() {
-                            return Some(Err(e));
-                        }
-                    }
-                    let prefiltered = matches!(self.cursor, Cursor::Matches(_));
-                    let keep = match &self.filter {
-                        Some(f) if !prefiltered => {
-                            match f.matches_pair(&probe, i, &self.build, ri) {
-                                Ok(keep) => keep,
-                                Err(e) => return Some(Err(e)),
-                            }
-                        }
-                        _ => true,
-                    };
-                    if keep {
-                        self.row_matched = true;
-                        self.build_matched[ri] = true;
-                        self.left_idx.push(i as u32);
-                        self.right_idx.push(ri as u32);
-                        if self.left_idx.len() >= self.capacity {
-                            // Batch full: emit now, resume this probe row's chain on the next
-                            // pull (the cursor state survives in `self`).
-                            return Some(self.emit());
-                        }
-                    }
-                }
-                if !self.row_matched
-                    && matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter)
-                {
-                    self.left_idx.push(i as u32);
-                    self.right_idx.push(u32::MAX);
-                    self.pads += 1;
-                }
-                self.probe_row += 1;
-                self.row_matched = false;
-                if self.probe_row < probe.num_rows() {
-                    if let Err(e) = self.start_row(&probe, self.probe_row) {
-                        return Some(Err(e));
-                    }
-                }
-                if self.left_idx.len() >= self.capacity {
-                    return Some(self.emit());
-                }
-            }
-            // Probe chunk exhausted: flush the partial batch (its indices point into this
-            // chunk) before pulling the next one.
-            let flush = !self.left_idx.is_empty();
-            let result = if flush { Some(self.emit()) } else { None };
-            self.probe = None;
-            if let Some(r) = result {
-                return Some(r);
-            }
-        }
-        // Drain unmatched build rows for right/full outer joins.
-        if matches!(self.kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-            let mut indices = Vec::new();
-            while self.drain < self.build.num_rows() && indices.len() < self.capacity {
-                if !self.build_matched[self.drain] {
-                    indices.push(self.drain as u32);
-                }
-                self.drain += 1;
-            }
-            if !indices.is_empty() {
-                return Some(self.emit_drained(&indices));
-            }
-        }
-        None
+        self.next_batch().transpose()
     }
 }
 
@@ -1418,8 +957,8 @@ fn arith_kernel<T: Copy, U: Copy, O: Default>(
 }
 
 /// Checked integer-arithmetic kernel: stops at the first overflowing row with the same
-/// [`ExecError::ArithmeticOverflow`] the row-at-a-time pipeline raises through checked
-/// [`Value`] arithmetic.
+/// [`ExecError::ArithmeticOverflow`] per-row evaluation raises through checked [`Value`]
+/// arithmetic.
 fn checked_arith_kernel<T: Copy, U: Copy, O: Default>(
     a: &[T],
     va: &Bitmap,

@@ -7,7 +7,7 @@ use perm_algebra::{
     BinaryOperator, DataType, JoinKind, PlanBuilder, ScalarExpr, Schema, Tuple, Value,
     DEFAULT_CHUNK_SIZE,
 };
-use perm_exec::{Executor, WorkerPool};
+use perm_exec::{execute_reference, Executor, WorkerPool};
 use perm_service::codec;
 use perm_storage::{Catalog, Relation};
 
@@ -76,15 +76,13 @@ fn streamed_chunks_match_every_materializing_pipeline() {
         let executor = Executor::new(catalog.clone());
 
         // The reference row-at-a-time interpreter is ground truth.
-        let reference = executor.execute_reference(&plan).unwrap();
+        let reference = execute_reference(&catalog, &plan).unwrap();
         assert_eq!(reference.num_rows() as i64, n, "join sizes the result to n rows");
         let expected = rows_of(&reference);
 
-        // Materializing pipelines: vectorized collect, tuple-iterator path, morsel-parallel.
+        // Materializing pipelines: vectorized collect, morsel-parallel.
         let materialized = executor.execute(&plan).unwrap();
         assert_eq!(rows_of(&materialized), expected, "vectorized execute, n={n}");
-        let tuple_path = executor.execute_streaming(&plan).unwrap();
-        assert_eq!(rows_of(&tuple_path), expected, "tuple-iterator path, n={n}");
         let parallel = executor.execute_parallel(&plan, &pool).unwrap();
         assert_eq!(rows_of(&parallel), expected, "morsel-parallel path, n={n}");
 

@@ -1,8 +1,7 @@
 //! Differential property tests: the **parallel** morsel-driven executor
-//! (`Executor::execute_parallel`), the **vectorized** chunk executor (`Executor::execute`) and
-//! the tuple-at-a-time **streaming** executor (`Executor::execute_streaming`) must all produce
-//! exactly the same relations as the naive materializing **reference** evaluator on arbitrary
-//! plans — plain and provenance-rewritten, optimized and unoptimized.
+//! (`Executor::execute_parallel`) and the **vectorized** chunk executor (`Executor::execute`)
+//! must both produce exactly the same relations as the naive materializing **reference**
+//! evaluator on arbitrary plans — plain and provenance-rewritten, optimized and unoptimized.
 //!
 //! Random plans cover the operator space the provenance rewriter emits: selections,
 //! column-shuffling projections, DISTINCT, inner/outer/cross joins, bag/set set-operations and
@@ -184,24 +183,21 @@ fn rows_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
     proptest::collection::vec((0i64..5, 0i64..4), 0..8)
 }
 
-/// Run one plan through all four execution paths and check the three fast paths against the
-/// oracle. The parallel path must additionally equal the vectorized path *exactly* (same row
-/// order), since morsel-order stitching is designed to preserve the sequential chunk sequence.
-fn assert_four_way(catalog: &Catalog, plan: &perm_algebra::LogicalPlan, context: &str) {
+/// Run one plan through all three execution paths and check the two fast paths against the
+/// oracle.
+fn assert_three_way(catalog: &Catalog, plan: &perm_algebra::LogicalPlan, context: &str) {
     let executor = Executor::new(catalog.clone());
     let reference = execute_reference(catalog, plan).unwrap();
     let vectorized = executor.execute(plan).unwrap();
-    let streaming = executor.execute_streaming(plan).unwrap();
     let parallel = executor.execute_parallel(plan, shared_pool()).unwrap();
     assert!(vectorized.bag_eq(&reference), "vectorized != reference on {context}\n{plan}");
-    assert!(streaming.bag_eq(&reference), "streaming != reference on {context}\n{plan}");
     assert!(parallel.bag_eq(&reference), "parallel != reference on {context}\n{plan}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Vectorized, streaming and reference execution agree on arbitrary plans, with and
+    /// Vectorized, parallel and reference execution agree on arbitrary plans, with and
     /// without the optimizer (predicate pushdown, projection merging and column pruning
     /// included).
     #[test]
@@ -219,15 +215,10 @@ proptest! {
         let executor = Executor::new(catalog.clone());
         let reference = execute_reference(&catalog, &plan).unwrap();
         let vectorized = executor.execute(&plan).unwrap();
-        let streaming = executor.execute_streaming(&plan).unwrap();
         let parallel = executor.execute_parallel(&plan, shared_pool()).unwrap();
         prop_assert!(
             vectorized.bag_eq(&reference),
             "vectorized != reference on raw plan\n{plan}"
-        );
-        prop_assert!(
-            streaming.bag_eq(&reference),
-            "streaming != reference on raw plan\n{plan}"
         );
         prop_assert!(
             parallel.bag_eq(&reference),
@@ -238,15 +229,10 @@ proptest! {
         optimized.validate().unwrap();
         optimized.verify().unwrap();
         let vectorized_opt = executor.execute(&optimized).unwrap();
-        let streaming_opt = executor.execute_streaming(&optimized).unwrap();
         let parallel_opt = executor.execute_parallel(&optimized, shared_pool()).unwrap();
         prop_assert!(
             vectorized_opt.bag_eq(&reference),
             "optimized vectorized != reference\nraw:\n{plan}\noptimized:\n{optimized}"
-        );
-        prop_assert!(
-            streaming_opt.bag_eq(&reference),
-            "optimized streaming != reference\nraw:\n{plan}\noptimized:\n{optimized}"
         );
         prop_assert!(
             parallel_opt.bag_eq(&reference),
@@ -254,7 +240,7 @@ proptest! {
         );
     }
 
-    /// The same three-way differential check on *provenance-rewritten* plans: rules R1–R9
+    /// The same differential check on *provenance-rewritten* plans: rules R1–R9
     /// produce wide joins and duplicated sub-plans, exactly the shapes the chunked join
     /// gathers and the column-pruning pass must not corrupt.
     #[test]
@@ -273,15 +259,10 @@ proptest! {
         let executor = Executor::new(catalog.clone());
         let reference = execute_reference(&catalog, &rewritten).unwrap();
         let vectorized = executor.execute(&rewritten).unwrap();
-        let streaming = executor.execute_streaming(&rewritten).unwrap();
         let parallel = executor.execute_parallel(&rewritten, shared_pool()).unwrap();
         prop_assert!(
             vectorized.bag_eq(&reference),
             "vectorized != reference on rewritten plan\n{rewritten}"
-        );
-        prop_assert!(
-            streaming.bag_eq(&reference),
-            "streaming != reference on rewritten plan\n{rewritten}"
         );
         prop_assert!(
             parallel.bag_eq(&reference),
@@ -292,15 +273,10 @@ proptest! {
         optimized.validate().unwrap();
         optimized.verify().unwrap();
         let vectorized_opt = executor.execute(&optimized).unwrap();
-        let streaming_opt = executor.execute_streaming(&optimized).unwrap();
         let parallel_opt = executor.execute_parallel(&optimized, shared_pool()).unwrap();
         prop_assert!(
             vectorized_opt.bag_eq(&reference),
             "optimized vectorized != reference on rewritten plan\n{rewritten}"
-        );
-        prop_assert!(
-            streaming_opt.bag_eq(&reference),
-            "optimized streaming != reference on rewritten plan\n{rewritten}"
         );
         prop_assert!(
             parallel_opt.bag_eq(&reference),
@@ -328,10 +304,8 @@ proptest! {
         let executor = Executor::new(catalog.clone());
         let reference = execute_reference(&catalog, &plan).unwrap();
         let vectorized = executor.execute(&plan).unwrap();
-        let streaming = executor.execute_streaming(&plan).unwrap();
         let parallel = executor.execute_parallel(&plan, shared_pool()).unwrap();
         prop_assert_eq!(vectorized.tuples(), reference.tuples());
-        prop_assert_eq!(streaming.tuples(), reference.tuples());
         prop_assert_eq!(parallel.tuples(), reference.tuples());
     }
 }
@@ -355,12 +329,12 @@ fn chunk_boundary_row_counts_agree_across_all_paths() {
 
         // Plain scan.
         let plan = scan("r", 0).build();
-        assert_four_way(&catalog, &plan, &format!("scan of {rows} rows"));
+        assert_three_way(&catalog, &plan, &format!("scan of {rows} rows"));
 
         // Filter that keeps roughly 1/7 of the rows (and nothing of an empty relation).
         let filtered =
             scan("r", 0).filter(ScalarExpr::column(0, "k").eq(ScalarExpr::literal(1i64))).build();
-        assert_four_way(&catalog, &filtered, &format!("filtered scan of {rows} rows"));
+        assert_three_way(&catalog, &filtered, &format!("filtered scan of {rows} rows"));
 
         // Computed projection with DISTINCT.
         let projected = scan("r", 0)
@@ -373,7 +347,7 @@ fn chunk_boundary_row_counts_agree_across_all_paths() {
                 "kv".into(),
             )])
             .build();
-        assert_four_way(&catalog, &projected, &format!("distinct projection of {rows} rows"));
+        assert_three_way(&catalog, &projected, &format!("distinct projection of {rows} rows"));
 
         // Hash join whose probe side spans a chunk boundary.
         let joined = scan("r", 0)
@@ -383,7 +357,7 @@ fn chunk_boundary_row_counts_agree_across_all_paths() {
                 Some(ScalarExpr::column(0, "k").eq(ScalarExpr::column(2, "k"))),
             )
             .build();
-        assert_four_way(&catalog, &joined, &format!("hash join of {rows} rows"));
+        assert_three_way(&catalog, &joined, &format!("hash join of {rows} rows"));
 
         // Left outer join: NULL padding interleaves with matches inside batches.
         let outer = scan("r", 0)
@@ -393,7 +367,7 @@ fn chunk_boundary_row_counts_agree_across_all_paths() {
                 Some(ScalarExpr::column(1, "v").eq(ScalarExpr::column(3, "v"))),
             )
             .build();
-        assert_four_way(&catalog, &outer, &format!("left outer join of {rows} rows"));
+        assert_three_way(&catalog, &outer, &format!("left outer join of {rows} rows"));
 
         // Aggregation with group keys.
         let aggregated = scan("r", 0)
@@ -405,25 +379,25 @@ fn chunk_boundary_row_counts_agree_across_all_paths() {
                 )],
             )
             .build();
-        assert_four_way(&catalog, &aggregated, &format!("aggregation of {rows} rows"));
+        assert_three_way(&catalog, &aggregated, &format!("aggregation of {rows} rows"));
 
         // Bag difference (chunked set-operation path).
         let diff =
             scan("r", 0).set_op(scan("s", 1), SetOpKind::Difference, SetSemantics::Bag).build();
-        assert_four_way(&catalog, &diff, &format!("bag difference of {rows} rows"));
+        assert_three_way(&catalog, &diff, &format!("bag difference of {rows} rows"));
 
         // A provenance-rewritten join (the paper's wide self-join shapes) at the boundary.
         let rewritten = ProvenanceRewriter::new().rewrite(&joined).unwrap();
-        assert_four_way(&catalog, &rewritten, &format!("rewritten join of {rows} rows"));
+        assert_three_way(&catalog, &rewritten, &format!("rewritten join of {rows} rows"));
 
         // Limit slicing exactly at and one past the chunk boundary.
         for limit in [DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE + 1] {
             let limited = scan("r", 0).limit(Some(limit), 1).build();
             let executor = Executor::new(catalog.clone());
+            let reference = execute_reference(&catalog, &limited).unwrap();
             let vectorized = executor.execute(&limited).unwrap();
-            let streaming = executor.execute_streaming(&limited).unwrap();
             let parallel = executor.execute_parallel(&limited, shared_pool()).unwrap();
-            assert_eq!(vectorized.tuples(), streaming.tuples(), "limit {limit} over {rows} rows");
+            assert_eq!(vectorized.tuples(), reference.tuples(), "limit {limit} over {rows} rows");
             assert_eq!(
                 parallel.tuples(),
                 vectorized.tuples(),
@@ -449,8 +423,8 @@ fn chunk_boundary_row_counts_agree_across_all_paths() {
     }
 }
 
-/// Integer overflow raises the identical `ExecError::ArithmeticOverflow` from the row,
-/// vectorized and parallel pipelines (never a silent wrap, never a pipeline-dependent value).
+/// Integer overflow raises the identical `ExecError::ArithmeticOverflow` from the vectorized
+/// and parallel pipelines (never a silent wrap, never a pipeline-dependent value).
 #[test]
 fn overflow_error_identical_across_pipelines() {
     use perm_algebra::{BinaryOperator as Op, PlanBuilder};
@@ -478,11 +452,6 @@ fn overflow_error_identical_across_pipelines() {
         let expected = ExecError::ArithmeticOverflow { operation: operation.into() };
         let executor = Executor::new(catalog.clone());
         assert_eq!(executor.execute(&plan).unwrap_err(), expected, "vectorized {operation}");
-        assert_eq!(
-            executor.execute_streaming(&plan).unwrap_err(),
-            expected,
-            "streaming {operation}"
-        );
         assert_eq!(
             executor.execute_parallel(&plan, shared_pool()).unwrap_err(),
             expected,
@@ -523,7 +492,6 @@ fn nan_sort_keys_and_predicates_agree_across_pipelines() {
     let executor = Executor::new(catalog.clone());
     for (name, result) in [
         ("vectorized", executor.execute(&plan).unwrap()),
-        ("streaming", executor.execute_streaming(&plan).unwrap()),
         ("parallel", executor.execute_parallel(&plan, shared_pool()).unwrap()),
     ] {
         let tags: Vec<i64> = result
@@ -546,7 +514,7 @@ fn nan_sort_keys_and_predicates_agree_across_pipelines() {
                 ScalarExpr::literal(f64::NAN),
             ))
             .build();
-        assert_four_way(&catalog, &plan, "NaN comparison predicate");
+        assert_three_way(&catalog, &plan, "NaN comparison predicate");
         assert_eq!(
             Executor::new(catalog.clone()).execute(&plan).unwrap().num_rows(),
             0,
@@ -600,7 +568,7 @@ fn cross_type_hash_keys_agree_with_nested_loop_semantics() {
             Some(cond),
         )
         .build();
-    assert_four_way(&catalog, &plan, "Int = Date equi-join");
+    assert_three_way(&catalog, &plan, "Int = Date equi-join");
     // The hash join must find exactly the numeric match (5 = day 5), like the nested loop.
     assert_eq!(Executor::new(catalog.clone()).execute(&plan).unwrap().num_rows(), 1);
 
@@ -621,7 +589,7 @@ fn cross_type_hash_keys_agree_with_nested_loop_semantics() {
             ScalarExpr::column(0, "f").eq(ScalarExpr::column(1, "f"))
         };
         let plan = a.join(b, JoinKind::Inner, Some(cond)).build();
-        assert_four_way(&catalog, &plan, "NaN equi-join key");
+        assert_three_way(&catalog, &plan, "NaN equi-join key");
         assert_eq!(
             Executor::new(catalog.clone()).execute(&plan).unwrap().num_rows(),
             expected_rows,
@@ -692,7 +660,7 @@ proptest! {
 
     /// Randomized join graphs over 3–8 differently-sized relations: the statistics-driven
     /// join reordering and build-side swap must preserve bag semantics exactly — on the plain
-    /// plan and on the provenance-rewritten one — across all four execution paths.
+    /// plan and on the provenance-rewritten one — across all three execution paths.
     #[test]
     fn reordered_join_graphs_agree_across_all_paths(
         n in 3usize..9,
@@ -713,8 +681,8 @@ proptest! {
         let (optimized, _report) = optimizer.optimize_with_stats(&plan, &stats).unwrap();
         optimized.validate().unwrap();
         optimized.verify().unwrap();
-        assert_four_way(&catalog, &plan, "raw join graph");
-        assert_four_way(&catalog, &optimized, "reordered join graph");
+        assert_three_way(&catalog, &plan, "raw join graph");
+        assert_three_way(&catalog, &optimized, "reordered join graph");
         let reference = execute_reference(&catalog, &plan).unwrap();
         let reordered = execute_reference(&catalog, &optimized).unwrap();
         prop_assert!(
@@ -728,8 +696,8 @@ proptest! {
         let (rewritten_opt, _) = optimizer.optimize_with_stats(&rewritten, &stats).unwrap();
         rewritten_opt.validate().unwrap();
         rewritten_opt.verify().unwrap();
-        assert_four_way(&catalog, &rewritten, "rewritten join graph");
-        assert_four_way(&catalog, &rewritten_opt, "rewritten+reordered join graph");
+        assert_three_way(&catalog, &rewritten, "rewritten join graph");
+        assert_three_way(&catalog, &rewritten_opt, "rewritten+reordered join graph");
         let prov_reference = execute_reference(&catalog, &rewritten).unwrap();
         let prov_reordered = execute_reference(&catalog, &rewritten_opt).unwrap();
         prop_assert!(
@@ -737,4 +705,115 @@ proptest! {
             "reordering changed provenance results\nraw:\n{rewritten}\noptimized:\n{rewritten_opt}"
         );
     }
+}
+
+/// Uncorrelated sublinks run on the chunk pipeline: EXISTS stops at its first non-empty batch,
+/// a scalar sublink fails on a second row whether it shares a batch with the first or arrives
+/// in a later one, and IN collects a whole multi-batch column. The vectorized, parallel and
+/// reference paths agree on every case, errors included.
+#[test]
+fn sublinks_agree_across_pipelines_at_chunk_boundaries() {
+    use perm_algebra::{PlanBuilder, SublinkKind, DEFAULT_CHUNK_SIZE};
+    use perm_exec::ExecError;
+    use std::sync::Arc;
+
+    // n(x) holds 1..=1025, so x = 1024 ends the first stored chunk and x = 1025 starts the
+    // second; m(x) holds 1..=1024 followed by a NULL; the outer table o(x) holds 1, 1024, 2000.
+    let last = DEFAULT_CHUNK_SIZE as i64 + 1;
+    let ints = |values: Vec<Value>| -> Vec<Tuple> {
+        values.into_iter().map(|v| Tuple::new(vec![v])).collect()
+    };
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&[("x", DataType::Int)]);
+    for (name, values) in [
+        ("n", (1..=last).map(Value::Int).collect::<Vec<_>>()),
+        ("m", (1..last).map(Value::Int).chain([Value::Null]).collect()),
+        ("o", vec![Value::Int(1), Value::Int(1024), Value::Int(2000)]),
+    ] {
+        let relation = Relation::from_parts(schema.clone(), ints(values));
+        catalog.create_table_with_data(name, relation).unwrap();
+    }
+    let scan = |name: &str| PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), 1);
+    let x = || ScalarExpr::column(0, "x");
+    let int = |i: i64| ScalarExpr::literal(i);
+    let n_where = |predicate: ScalarExpr| Arc::new(scan("n").filter(predicate).build());
+    let sublink = |kind, negated, plan: Arc<perm_algebra::LogicalPlan>| ScalarExpr::Sublink {
+        kind,
+        operand: (kind == SublinkKind::InSubquery).then(|| Box::new(x())),
+        negated,
+        plan,
+    };
+    // Every row of o next to the sublink's value, sorted by o.x.
+    let outer = |expr: ScalarExpr| {
+        PlanBuilder::scan("o", catalog.table_schema("o").unwrap(), 0)
+            .project(vec![(x(), "y".into()), (expr, "s".into())])
+            .build()
+    };
+    let executor = Executor::new(catalog.clone());
+    let run = |plan: &perm_algebra::LogicalPlan| {
+        [
+            ("reference", execute_reference(&catalog, plan)),
+            ("vectorized", executor.execute(plan)),
+            ("parallel", executor.execute_parallel(plan, shared_pool())),
+        ]
+    };
+    let values_of = |expr: ScalarExpr, what: &str| -> Vec<Value> {
+        let plan = outer(expr);
+        let results = run(&plan).map(|(name, result)| {
+            (name, result.unwrap_or_else(|e| panic!("{what}: {name} failed: {e}")))
+        });
+        let (_, reference) = &results[0];
+        for (name, result) in &results[1..] {
+            assert!(result.bag_eq(reference), "{what}: {name} != reference");
+        }
+        reference.sorted().tuples().iter().map(|t| t[1].clone()).collect()
+    };
+    let fails = |expr: ScalarExpr, what: &str, expected: fn(&ExecError) -> bool| {
+        for (name, result) in run(&outer(expr)) {
+            match result {
+                Err(e) if expected(&e) => {}
+                Err(e) => panic!("{what}: {name} raised the wrong error: {e}"),
+                Ok(r) => panic!("{what}: {name} returned {} rows instead of failing", r.num_rows()),
+            }
+        }
+    };
+    let too_many = |e: &ExecError| matches!(e, ExecError::ScalarSubqueryTooManyRows);
+    let null = Value::Null;
+
+    // Scalar: 0 rows is NULL, 1 row is its value, a second row fails in the same batch or the
+    // next one.
+    let empty = n_where(x().eq(int(0)));
+    let scalar = |plan| sublink(SublinkKind::Scalar, false, plan);
+    assert_eq!(values_of(scalar(empty.clone()), "empty scalar"), vec![null.clone(); 3]);
+    assert_eq!(
+        values_of(scalar(n_where(x().eq(int(5)))), "one-row scalar"),
+        vec![Value::Int(5); 3]
+    );
+    let in_one_chunk = n_where(ScalarExpr::binary(BinaryOperator::LtEq, x(), int(2)));
+    fails(scalar(in_one_chunk), "two rows in one chunk", too_many);
+    let straddling = n_where(x().eq(int(last - 1)).or(x().eq(int(last))));
+    fails(scalar(straddling), "two rows straddling a chunk boundary", too_many);
+
+    // EXISTS / NOT EXISTS whose only match is the first row of the second chunk.
+    let row_1025 = n_where(x().eq(int(last)));
+    for negated in [false, true] {
+        let exists = sublink(SublinkKind::Exists, negated, row_1025.clone());
+        assert_eq!(values_of(exists, "EXISTS row 1025"), vec![Value::Bool(!negated); 3]);
+        let exists = sublink(SublinkKind::Exists, negated, empty.clone());
+        assert_eq!(values_of(exists, "EXISTS empty"), vec![Value::Bool(negated); 3]);
+    }
+
+    // IN / NOT IN over 1025 rows whose last one is NULL: a miss is NULL, not FALSE.
+    let with_null = Arc::new(scan("m").build());
+    let in_m = values_of(sublink(SublinkKind::InSubquery, false, with_null.clone()), "IN");
+    assert_eq!(in_m, vec![Value::Bool(true), Value::Bool(true), null.clone()]);
+    let not_in_m = values_of(sublink(SublinkKind::InSubquery, true, with_null), "NOT IN");
+    assert_eq!(not_in_m, vec![Value::Bool(false), Value::Bool(false), null]);
+
+    // A hand-built two-column scalar sub-plan is malformed: an error, never a panic.
+    let two_columns =
+        Arc::new(scan("n").project(vec![(x(), "a".into()), (x(), "b".into())]).build());
+    fails(scalar(two_columns), "two-column scalar sub-plan", |e| {
+        matches!(e, ExecError::Internal(_))
+    });
 }
